@@ -59,10 +59,16 @@ def _require_keys(obj: dict, allowed: set, required: set, where: str):
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
 
-def _positive_int(v, where: str) -> int:
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise ConfigError(f"{where} must be a positive integer")
+def _integer(v, where: str, minimum: int = 1) -> int:
+    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
+        raise ConfigError(f"{where} must be an integer >= {minimum}")
     return v
+
+
+def _positive_number(v, where: str, below: float = math.inf) -> float:
+    if not (isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < below):
+        raise ConfigError(f"{where} must be a number in (0, {below:g})")
+    return float(v)
 
 
 def _parse_potential(obj) -> pot.PotentialSpec:
@@ -75,23 +81,29 @@ def _parse_potential(obj) -> pot.PotentialSpec:
 def _parse_optim(obj, seed: int) -> OptimOpts:
     if obj is None:
         return OptimOpts(seed=seed)
-    allowed = {"grad_tol", "max_iters", "init_radius", "n_starts", "hop_count",
-               "hop_sigma", "min_pair_dist"}
-    _require_keys(obj, allowed, set(), "optim")
-    try:
-        return OptimOpts(seed=seed, **{k: obj[k] for k in obj})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid optim options: {exc}") from exc
+    ints = {"max_iters": 1, "n_starts": 1, "hop_count": 0}   # key -> minimum
+    floats = {"grad_tol", "init_radius", "hop_sigma", "min_pair_dist"}
+    _require_keys(obj, set(ints) | floats, set(), "optim")
+    opts = {}
+    for k, v in obj.items():
+        if k in ints:
+            opts[k] = _integer(v, f"optim.{k}", ints[k])
+        elif v is not None or k not in ("init_radius", "hop_sigma"):  # None: derived
+            opts[k] = _positive_number(v, f"optim.{k}")
+    return OptimOpts(seed=seed, **opts)
 
 
 def _parse_diag(obj) -> dict:
     if obj is None:
         return {}
-    allowed = {"morrey_exponent", "eps_factors", "lower_mass_radius"}
-    _require_keys(obj, allowed, set(), "diagnostics")
-    out = dict(obj)
-    if "eps_factors" in out:
-        out["eps_factors"] = tuple(float(v) for v in out["eps_factors"])
+    numbers = ("morrey_exponent", "lower_mass_radius")
+    _require_keys(obj, {*numbers, "eps_factors"}, set(), "diagnostics")
+    out = {k: _positive_number(obj[k], f"diagnostics.{k}") for k in numbers if k in obj}
+    if "eps_factors" in obj:
+        if not isinstance(obj["eps_factors"], list):
+            raise ConfigError("diagnostics.eps_factors must be a list")
+        out["eps_factors"] = tuple(_positive_number(v, "diagnostics.eps_factors entry",
+                                                    0.5) for v in obj["eps_factors"])
     return out
 
 
@@ -108,9 +120,9 @@ def _parse_measure(obj) -> measures.GridDensity:
     for key in ("L", "resolution", "d"):
         if key not in obj:
             raise ConfigError(f"measure: missing {key}")
-    return measures.uniform_box(_positive_int(obj["d"], "measure.d"),
+    return measures.uniform_box(_integer(obj["d"], "measure.d"),
                                 float(obj["L"]),
-                                _positive_int(obj["resolution"], "measure.resolution"))
+                                _integer(obj["resolution"], "measure.resolution"))
 
 
 def _load_config(path) -> dict:
@@ -182,10 +194,6 @@ class _Record:
             json.dump(record, fh, indent=2)
 
 
-def _run_diagnostics(spec, X, diag_opts) -> diag.DiagnosticsReport:
-    return diag.build_report(spec, X, **diag_opts)
-
-
 # --------------------------------------------------------------------------
 # Commands
 # --------------------------------------------------------------------------
@@ -225,7 +233,7 @@ def cmd_minimize(cfg: dict, out_dir: Path, seed: int, workers: int, rec: _Record
     _require_keys(cfg, {"potential", "N", "optim", "diagnostics", "seed"},
                   {"potential", "N"}, "config")
     spec = _parse_potential(cfg["potential"])
-    n = _positive_int(cfg["N"], "N")
+    n = _integer(cfg["N"], "N")
     opts = _parse_optim(cfg.get("optim"), seed)
     diag_opts = _parse_diag(cfg.get("diagnostics"))
 
@@ -236,7 +244,7 @@ def cmd_minimize(cfg: dict, out_dir: Path, seed: int, workers: int, rec: _Record
         json.dump(result.to_json(), fh, indent=2)
 
     rec.start("diagnostics")
-    report = _run_diagnostics(spec, result.best, diag_opts)
+    report = diag.build_report(spec, result.best, **diag_opts)
     rec.stop()
     with open(out_dir / "diagnostics.json", "w") as fh:
         json.dump(report.to_json(), fh, indent=2)
@@ -255,7 +263,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, seed: int, workers: int, rec: _Record) -
     _require_keys(cfg, {"potential", "N_list", "optim", "diagnostics", "seed"},
                   {"potential", "N_list"}, "config")
     spec = _parse_potential(cfg["potential"])
-    n_list = [_positive_int(v, "N_list entry") for v in cfg["N_list"]]
+    n_list = [_integer(v, "N_list entry") for v in cfg["N_list"]]
     opts = _parse_optim(cfg.get("optim"), seed)
     diag_opts = _parse_diag(cfg.get("diagnostics"))
     s = diag_opts.get("morrey_exponent", diag.default_morrey_exponent(spec))
@@ -301,9 +309,9 @@ def cmd_recover(cfg: dict, out_dir: Path, seed: int, workers: int, rec: _Record)
     _require_keys(cfg, {"potential", "N_list", "measure", "refine_levels", "seed"},
                   {"potential", "N_list", "measure"}, "config")
     spec = _parse_potential(cfg["potential"])
-    n_list = [_positive_int(v, "N_list entry") for v in cfg["N_list"]]
+    n_list = [_integer(v, "N_list entry") for v in cfg["N_list"]]
     rho = _parse_measure(cfg["measure"])
-    refine = cfg.get("refine_levels", 3)
+    refine = _integer(cfg.get("refine_levels", 3), "refine_levels")
 
     rec.start("recover")
     try:
@@ -346,7 +354,7 @@ def cmd_analyze(cfg: dict, out_dir: Path, seed: int, workers: int, rec: _Record)
     else:
         X = Configuration.load_json(path)
     rec.start("analyze")
-    report = _run_diagnostics(spec, X, diag_opts)
+    report = diag.build_report(spec, X, **diag_opts)
     rec.stop()
     with open(out_dir / "analysis.json", "w") as fh:
         json.dump(report.to_json(), fh, indent=2)
@@ -384,10 +392,12 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
         workers = args.workers
-        workers_from_env = False
-        if os.environ.get(WORKERS_ENV):
-            workers = int(os.environ[WORKERS_ENV])
-            workers_from_env = True
+        env = os.environ.get(WORKERS_ENV, "")
+        workers_from_env = bool(env)
+        if env:
+            if not env.strip().isdecimal():
+                raise ConfigError(f"{WORKERS_ENV} must be an integer >= 1, got {env!r}")
+            workers = int(env)
         if workers < 1:
             raise ConfigError("workers must be >= 1")
 

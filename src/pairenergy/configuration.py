@@ -1,9 +1,8 @@
 """Particle configurations: N points in R^d with implicit equal masses 1/N.
 
-Energies, per-particle potentials, forces and ball-mass counts are computed
-by plain O(N^2) pairwise loops, chunked in a fixed row-block order so results
-are bitwise reproducible for a given N (the chunking never depends on worker
-counts or the environment).
+Energies, per-particle potentials and forces are O(N^2) pair sums over the
+fixed row blocks of the `pairs` module, so results are bitwise reproducible
+for a given N.
 """
 
 from __future__ import annotations
@@ -15,9 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import pairs
 from .potentials import PotentialError, PotentialSpec
-
-_CHUNK = 512
 
 
 class ConfigurationError(ValueError):
@@ -114,37 +112,10 @@ class BallMassQuery(NamedTuple):
 # Pairwise kernels
 # --------------------------------------------------------------------------
 
-def _radial_with_origin(spec: PotentialSpec, r: np.ndarray) -> np.ndarray:
-    """W on a matrix of distances where exact zeros mean coincident points."""
-    vals = np.asarray(spec.radial(np.where(r == 0.0, 1.0, r)), dtype=float)
-    if spec.singular_at_origin:
-        return np.where(r == 0.0, np.inf, vals)
-    w0 = float(spec.radial(0.0))
-    return np.where(r == 0.0, w0, vals)
-
-
-def _pair_rows(X: np.ndarray):
-    """Yield (i0, r_block) with r_block the distances from rows i0:i0+c to all."""
-    n = X.shape[0]
-    for i0 in range(0, n, _CHUNK):
-        block = X[i0:i0 + _CHUNK]
-        diff = block[:, None, :] - X[None, :, :]
-        yield i0, diff, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
 def per_particle_potentials(spec: PotentialSpec, X: Configuration) -> np.ndarray:
     """P_i = (1/N) sum_{j != i} W(x_i - x_j)."""
-    n = X.n
-    if n < 2:
-        raise ConfigurationError("per-particle potentials need N >= 2")
-    _check_dim(spec, X)
-    out = np.empty(n)
-    for i0, _, r in _pair_rows(X.points):
-        vals = _radial_with_origin(spec, r)
-        c = vals.shape[0]
-        vals[np.arange(c), i0 + np.arange(c)] = 0.0  # exclude self
-        out[i0:i0 + c] = vals.sum(axis=1)
-    return out / n
+    blocks = _blocks(spec, X, "a per-particle potential")
+    return np.concatenate([blk.potentials(spec) for blk in blocks]) / X.n
 
 
 def discrete_energy(spec: PotentialSpec, X: Configuration) -> float:
@@ -152,17 +123,10 @@ def discrete_energy(spec: PotentialSpec, X: Configuration) -> float:
 
     +inf if a pair coincides and W is singular at the origin.
     """
-    n = X.n
-    if n < 2:
-        raise ConfigurationError("discrete energy needs N >= 2")
-    _check_dim(spec, X)
     total = 0.0
-    for i0, _, r in _pair_rows(X.points):
-        vals = _radial_with_origin(spec, r)
-        c = vals.shape[0]
-        vals[np.arange(c), i0 + np.arange(c)] = 0.0
-        total += float(vals.sum())
-    return total / (2.0 * n * n)
+    for blk in _blocks(spec, X, "the discrete energy"):
+        total += blk.energy(spec)
+    return total / (2.0 * X.n * X.n)
 
 
 def per_particle_forces(spec: PotentialSpec, X: Configuration) -> np.ndarray:
@@ -170,21 +134,12 @@ def per_particle_forces(spec: PotentialSpec, X: Configuration) -> np.ndarray:
 
     Errors on coincident pairs.
     """
-    n = X.n
-    if n < 2:
-        raise ConfigurationError("forces need N >= 2")
-    _check_dim(spec, X)
-    out = np.empty_like(X.points)
-    for i0, diff, r in _pair_rows(X.points):
-        c = r.shape[0]
-        rows, diag = np.arange(c), i0 + np.arange(c)
-        r[rows, diag] = 1.0  # mask self-distance before the zero check
-        if np.any(r == 0.0):
+    out = []
+    for blk in _blocks(spec, X, "a force"):
+        if blk.rmin == 0.0:
             raise ConfigurationError("coincident pair: gradient undefined")
-        slope = np.asarray(spec.radial_derivative(r), dtype=float) / r
-        slope[rows, diag] = 0.0
-        out[i0:i0 + c] = np.einsum("ij,ijk->ik", slope, diff)
-    return out / n
+        out.append(blk.forces(spec))
+    return np.concatenate(out) / X.n
 
 
 def energy_gradient(spec: PotentialSpec, X: Configuration) -> np.ndarray:
@@ -194,24 +149,12 @@ def energy_gradient(spec: PotentialSpec, X: Configuration) -> np.ndarray:
 
 def diameter(X: Configuration) -> float:
     """Maximum pairwise Euclidean distance (0 for a single point)."""
-    if X.n == 1:
-        return 0.0
-    best = 0.0
-    for _, _, r in _pair_rows(X.points):
-        best = max(best, float(r.max()))
-    return best
+    return max(float(r.max()) for _, _, r in pairs.blocks(X.points))
 
 
 def min_pair_distance(X: Configuration) -> float:
     """Smallest distance between two distinct particles (inf for N = 1)."""
-    if X.n == 1:
-        return math.inf
-    best = math.inf
-    for i0, _, r in _pair_rows(X.points):
-        c = r.shape[0]
-        r[np.arange(c), i0 + np.arange(c)] = np.inf
-        best = min(best, float(r.min()))
-    return best
+    return min(blk.rmin for blk in pairs.self_blocks(X.points))
 
 
 def ball_mass(X: Configuration, i: int, r: float) -> float:
@@ -229,7 +172,11 @@ def ball_mass_query(X: Configuration, i: int, r: float) -> BallMassQuery:
     return BallMassQuery(index=i, radius=float(r), mass=ball_mass(X, i, r))
 
 
-def _check_dim(spec: PotentialSpec, X: Configuration):
+def _blocks(spec: PotentialSpec, X: Configuration, what: str):
+    """The pair blocks of X, once X is checked to have `what` under spec."""
+    if X.n < 2:
+        raise ConfigurationError(f"{what} needs N >= 2")
     if spec.dimension != X.dim:
         raise PotentialError(
             f"potential dimension {spec.dimension} != configuration dimension {X.dim}")
+    return pairs.self_blocks(X.points)

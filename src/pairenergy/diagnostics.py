@@ -18,7 +18,7 @@ import numpy as np
 from .configuration import (Configuration, ConfigurationError, ball_mass,
                             diameter, min_pair_distance,
                             per_particle_potentials)
-from .potentials import PotentialSpec, QuadratureOpts, metadata
+from .potentials import PotentialSpec, QuadratureOpts, _ball_deviation_sums, metadata
 
 
 @dataclass(frozen=True)
@@ -124,18 +124,8 @@ def stationarity_check(spec: PotentialSpec, X: Configuration, eps: float,
     if not eps < 0.5 * min_dist:
         raise ValueError(
             f"eps must be below half the minimum pair distance ({0.5 * min_dist:g})")
-    from .potentials import _ball_rule  # shared deterministic rule
-
-    pts, w = _ball_rule(spec.dimension, quad)
-    vals = []
-    for j in range(X.n):
-        offsets = np.delete(X.points - X.points[j], j, axis=0)   # (N-1, d)
-        shifted = offsets[:, None, :] + eps * pts[None, :, :]
-        radii = np.linalg.norm(shifted, axis=2)
-        avg = np.asarray(spec.radial(radii), dtype=float) @ w
-        centre = np.asarray(spec.radial(np.linalg.norm(offsets, axis=1)), dtype=float)
-        scale = 2.0 * (spec.dimension + 2.0) / eps**2
-        vals.append(float(np.sum(scale * (avg - centre))))
+    offsets = (np.delete(X.points - X.points[j], j, axis=0) for j in range(X.n))
+    vals = _ball_deviation_sums(spec.radial, offsets, eps, spec.dimension, quad)
     return StationarityResult(tuple(vals), min(vals), eps)
 
 
@@ -176,7 +166,6 @@ class DiagnosticsReport:
     stationarity: tuple            # (eps, min_j v_j) pairs, decreasing eps
     lower_mass_radius: float
     lower_mass: float
-    uniform_K_estimate: float | None = None
     notes: tuple = field(default_factory=tuple)
 
     def to_json(self) -> dict:
@@ -193,7 +182,6 @@ class DiagnosticsReport:
             "stationarity": [[e, v] for e, v in self.stationarity],
             "lower_mass_radius": self.lower_mass_radius,
             "lower_mass": self.lower_mass,
-            "uniform_K_estimate": self.uniform_K_estimate,
             "notes": list(self.notes),
         }
 

@@ -12,12 +12,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import warnings
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import coo_matrix
 
+from . import pairs
 from .configuration import Configuration, discrete_energy
 from .potentials import PotentialError, PotentialSpec
 
@@ -145,7 +147,7 @@ class GridDensity:
         return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
     def save(self, path):
-        """JSON header plus a sidecar CSV mass array next to it."""
+        """JSON header plus a sidecar CSV mass array, named relative to the header."""
         path = str(path)
         mass_path = path + ".masses.csv"
         with open(mass_path, "w") as fh:
@@ -154,13 +156,14 @@ class GridDensity:
         with open(path, "w") as fh:
             json.dump({"d": self.dim, "lo": self.lo.tolist(), "hi": self.hi.tolist(),
                        "resolution": self.resolution,
-                       "mass_csv": mass_path}, fh, indent=2)
+                       "mass_csv": os.path.basename(mass_path)}, fh, indent=2)
 
     @classmethod
     def load(cls, path) -> "GridDensity":
         with open(path) as fh:
             head = json.load(fh)
-        masses = np.loadtxt(head["mass_csv"], dtype=float).reshape(-1)
+        mass_path = os.path.join(os.path.dirname(str(path)), head["mass_csv"])
+        masses = np.loadtxt(mass_path, dtype=float).reshape(-1)
         return cls(head["lo"], head["hi"], head["resolution"], masses)
 
 
@@ -258,21 +261,13 @@ def continuum_energy_atoms(spec: PotentialSpec, mu: AtomicMeasure) -> float:
     w0 = float(spec.radial(0.0))
     w = mu.weights
     n = mu.n_atoms
-    if n == 1:
-        return 0.5 * w0 * float(w[0] ** 2)
-    if np.all(w == w[0]) and w[0] == 1.0 / n:
+    if n > 1 and np.all(w == w[0]) and w[0] == 1.0 / n:
         # equal-weight case: exactly the discrete energy plus the self term
         return discrete_energy(spec, Configuration(mu.points)) + w0 / (2.0 * n)
-    diff = mu.points[:, None, :] - mu.points[None, :, :]
-    r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    vals = np.asarray(spec.radial(np.where(r == 0.0, 1.0, r)), dtype=float)
-    vals = np.where(r == 0.0, w0, vals)
-    return 0.5 * float(w @ vals @ w)
-
-
-def _pair_values(spec: PotentialSpec, dist: np.ndarray, w0: float) -> np.ndarray:
-    vals = np.asarray(spec.radial(np.where(dist == 0.0, 1.0, dist)), dtype=float)
-    return np.where(dist == 0.0, w0, vals)
+    total = 0.0
+    for i0, _, r in pairs.blocks(mu.points):
+        total += float(w[i0:i0 + len(r)] @ pairs.kernel(spec, r) @ w)
+    return 0.5 * total
 
 
 def continuum_energy_grid(spec: PotentialSpec, rho: GridDensity,
@@ -299,17 +294,16 @@ def continuum_energy_grid(spec: PotentialSpec, rho: GridDensity,
     m = len(centres)
     width = rho.cell_width
     diag = float(np.linalg.norm(width))
-    w0 = math.inf if spec.singular_at_origin else float(spec.radial(0.0))
+    # exactly coincident sub-pairs at the deepest level: W(0), or 0 for an
+    # integrable singular core
+    core = 0.0 if spec.singular_at_origin else float(spec.radial(0.0))
 
     total = 0.0
     near_i, near_j = [], []
     chunk = max(1, (1 << 22) // max(m, 1))
-    for i0 in range(0, m, chunk):
-        block = centres[i0:i0 + chunk]
-        diff = block[:, None, :] - centres[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    for i0, _, dist in pairs.blocks(centres, rows=chunk):
         near = dist <= 2.0 * diag
-        far_vals = np.where(near, 0.0, _pair_values(spec, np.where(near, 1.0, dist), w0))
+        far_vals = np.where(near, 0.0, spec.radial(np.where(near, 1.0, dist)))
         total += float((masses[i0:i0 + chunk, None] * masses[None, :] * far_vals).sum())
         ii, jj = np.nonzero(near)
         near_i.append(ii + i0)
@@ -336,17 +330,12 @@ def continuum_energy_grid(spec: PotentialSpec, rho: GridDensity,
             wsub = wij[p0:p0 + pair_chunk, None, None] / (n_sub * n_sub)
             if level == refine_levels:
                 zero = dist == 0.0
-                vals = _pair_values(spec, np.where(zero, 1.0, dist), 0.0)
-                if not spec.singular_at_origin:
-                    vals = np.where(zero, w0, vals)
-                else:
-                    vals = np.where(zero, 0.0, vals)  # integrable core vanishes
+                vals = np.where(zero, core, spec.radial(np.where(zero, 1.0, dist)))
                 total += float((wsub * vals).sum())
             else:
                 threshold = 2.0 * float(np.linalg.norm(cur_width / 2.0))
                 near = dist <= threshold
-                vals = np.where(near, 0.0,
-                                _pair_values(spec, np.where(near, 1.0, dist), w0))
+                vals = np.where(near, 0.0, spec.radial(np.where(near, 1.0, dist)))
                 total += float((wsub * vals).sum())
                 pi, si, sj = np.nonzero(near)
                 new_ci.append(a[pi, si])
@@ -431,8 +420,7 @@ def _w1_1d(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
 
 
 def _w1_assignment(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
-    diff = mu.points[:, None, :] - nu.points[None, :, :]
-    cost = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    cost = pairs.differences(mu.points, nu.points)[1]
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum()) / mu.n_atoms
 
@@ -451,8 +439,7 @@ def _quantise(mu: AtomicMeasure, max_atoms: int) -> AtomicMeasure:
 
 def _w1_lp(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     n, m = mu.n_atoms, nu.n_atoms
-    diff = mu.points[:, None, :] - nu.points[None, :, :]
-    cost = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).reshape(-1)
+    cost = pairs.differences(mu.points, nu.points)[1].reshape(-1)
     rows, cols, vals = [], [], []
     for i in range(n):
         rows.extend([i] * m)

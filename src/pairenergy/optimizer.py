@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .configuration import (Configuration, ConfigurationError, diameter,
-                            min_pair_distance)
+from . import pairs
+from .configuration import Configuration, ConfigurationError, min_pair_distance
 from .potentials import PotentialSpec, metadata
 
 _ARMIJO_C = 1e-4
@@ -75,42 +75,6 @@ class OptimResult:
                 "best": self.best.to_json()}
 
 
-class _PairState:
-    """Pairwise geometry of one candidate point set, built once per trial and
-    reused for the force evaluation if the trial is accepted."""
-
-    __slots__ = ("pts", "diff", "r", "scaled_energy", "too_close")
-
-    def __init__(self, spec: PotentialSpec, pts: np.ndarray, guard: float):
-        n = len(pts)
-        self.pts = pts
-        self.diff = pts[:, None, :] - pts[None, :, :]
-        r = np.sqrt(np.einsum("ijk,ijk->ij", self.diff, self.diff))
-        rows = np.arange(n)
-        r[rows, rows] = np.inf
-        rmin = float(r.min())
-        self.too_close = rmin < guard
-        r[rows, rows] = 1.0          # keep the diagonal out of kernel evals
-        self.r = r
-        if rmin == 0.0:
-            if spec.singular_at_origin:
-                self.scaled_energy = math.inf
-                return
-            vals = np.asarray(spec.radial(np.where(r == 0.0, 1.0, r)), dtype=float)
-            vals = np.where(r == 0.0, float(spec.radial(0.0)), vals)
-        else:
-            vals = np.asarray(spec.radial(r), dtype=float)
-        vals[rows, rows] = 0.0
-        self.scaled_energy = float(vals.sum()) / (2.0 * n)   # N * E_N
-
-    def forces(self, spec: PotentialSpec) -> np.ndarray:
-        n = len(self.pts)
-        rows = np.arange(n)
-        slope = np.asarray(spec.radial_derivative(self.r), dtype=float) / self.r
-        slope[rows, rows] = 0.0
-        return np.einsum("ij,ijk->ik", slope, self.diff) / n
-
-
 def minimize_local(spec: PotentialSpec, X0: Configuration,
                    opts: OptimOpts) -> OptimResult:
     """Descend E_N from X0; monotone by construction.
@@ -126,14 +90,16 @@ def minimize_local(spec: PotentialSpec, X0: Configuration,
         raise ConfigurationError("initial configuration has a near-coincident pair")
 
     guard = opts.min_pair_dist if spec.singular_at_origin else 0.0
-    state = _PairState(spec, np.array(X0.points), guard)
-    f = state.scaled_energy
-    grad = state.forces(spec)
+    # f is N E_N; an accepted trial's block is reused for its forces
+    x = np.array(X0.points)
+    state = pairs.SelfBlock(x)
+    f = state.energy(spec) / (2.0 * n)
+    grad = state.forces(spec) / n
     residual = float(np.max(np.linalg.norm(grad, axis=1)))
     trace = [f / n]
     iters = 0
     if residual <= opts.grad_tol:
-        return OptimResult(Configuration(state.pts), f / n, residual, ((0, f / n),),
+        return OptimResult(Configuration(x), f / n, residual, ((0, f / n),),
                            0, True, tuple(trace))
 
     step = 1.0 / max(1.0, residual)
@@ -144,9 +110,10 @@ def minimize_local(spec: PotentialSpec, X0: Configuration,
         t = step
         accepted = False
         for _ in range(80):
-            trial = _PairState(spec, state.pts - t * grad, guard)
-            if not trial.too_close \
-                    and trial.scaled_energy <= f - _ARMIJO_C * t * gnorm2:
+            x_new = x - t * grad
+            trial = pairs.SelfBlock(x_new)
+            f_new = trial.energy(spec) / (2.0 * n)
+            if trial.rmin >= guard and f_new <= f - _ARMIJO_C * t * gnorm2:
                 accepted = True
                 break
             t *= _SHRINK
@@ -155,8 +122,8 @@ def minimize_local(spec: PotentialSpec, X0: Configuration,
         if not accepted:
             break  # stalled: cannot make progress at the smallest step
 
-        grad_new = trial.forces(spec)
-        s = trial.pts - state.pts
+        grad_new = trial.forces(spec) / n
+        s = x_new - x
         y = grad_new - grad
         sy = float(np.sum(s * y))
         yy = float(np.sum(y * y))
@@ -167,7 +134,7 @@ def minimize_local(spec: PotentialSpec, X0: Configuration,
             step = min(max(step, _STEP_MIN), _STEP_MAX)
         else:
             step = t
-        state, f, grad = trial, trial.scaled_energy, grad_new
+        x, f, grad = x_new, f_new, grad_new
         trace.append(f / n)
         residual = float(np.max(np.linalg.norm(grad, axis=1)))
         if residual <= opts.grad_tol:
@@ -175,7 +142,7 @@ def minimize_local(spec: PotentialSpec, X0: Configuration,
             break
 
     energy = f / n
-    return OptimResult(Configuration(state.pts), energy, residual, ((0, energy),),
+    return OptimResult(Configuration(x), energy, residual, ((0, energy),),
                        iters, converged, tuple(trace))
 
 
@@ -236,11 +203,3 @@ def minimize_multistart(spec: PotentialSpec, N: int, opts: OptimOpts,
 
     return OptimResult(best.best, best.energy, best.force_residual,
                        tuple(summary), iters, best.converged, best.energy_trace)
-
-
-def diameter_within_existence_bound(spec: PotentialSpec, X: Configuration,
-                                    slack: float = 1e-6) -> bool:
-    """Sanity check: any true minimiser has diameter <= 2 sqrt(d) (N-1) R_W."""
-    r_w = metadata(spec).R_W
-    bound = 2.0 * math.sqrt(X.dim) * (X.n - 1) * r_w
-    return diameter(X) <= bound + slack

@@ -199,3 +199,26 @@ class TestWorkersEnv:
         run("minimize", cfg, tmp_path / "out", "--seed", "99")
         record = json.load(open(tmp_path / "out" / "run_record.json"))
         assert record["seed"] == 99
+
+
+RECOVER_1D = {"potential": {"kind": "power_law", "d": 1, "a": 2.0, "b": 1.0},
+              "N_list": [16],
+              "measure": {"builtin": "uniform_box", "L": 1.0, "d": 1, "resolution": 64}}
+
+
+@pytest.mark.parametrize("command, payload, env", [
+    ("minimize", {"potential": PL21_JSON, "N": 2, "optim": {"n_starts": 2.5}}, None),
+    ("recover", dict(RECOVER_1D, refine_levels="x"), None),
+    ("minimize", {"potential": PL21_JSON, "N": 2,
+                  "diagnostics": {"morrey_exponent": -1}}, None),
+    ("minimize", {"potential": PL21_JSON, "N": 2, "optim": CHEAP_OPTIM}, "abc"),
+], ids=["float_n_starts", "string_refine_levels", "negative_morrey_exponent",
+        "non_integer_workers_env"])
+def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys,
+                                         command, payload, env):
+    if env is not None:
+        monkeypatch.setenv(cli.WORKERS_ENV, env)
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert run(command, cfg, tmp_path / "out") == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "run_record.json").exists()

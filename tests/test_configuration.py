@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairenergy import configuration as cfg
 from pairenergy import potentials as pot
@@ -71,23 +73,34 @@ class TestDiscreteEnergy:
         with pytest.raises(cfg.ConfigurationError):
             cfg.discrete_energy(PL21, cfg.Configuration([[0.0, 0.0]]))
 
-    def test_translation_invariance(self):
-        rng = np.random.default_rng(10)
-        x = random_config(rng, 12, 2)
-        e0 = cfg.discrete_energy(PL21, x)
-        for _ in range(100):
-            shift = rng.normal(size=2) * 5
-            e = cfg.discrete_energy(PL21, x.translated(shift))
-            assert e == pytest.approx(e0, rel=1e-12)
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_translation_and_permutation_invariance(self, data):
+        d = data.draw(st.integers(2, 3), label="d")
+        n = data.draw(st.integers(2, 40), label="N")
+        # distinct coordinates on a 0.01 grid: no two points closer than 0.01
+        coords = data.draw(st.lists(st.integers(-400, 400), min_size=n * d,
+                                    max_size=n * d, unique=True), label="coords")
+        x = cfg.Configuration(np.reshape(coords, (n, d)) / 100.0)
+        shift = data.draw(st.lists(st.floats(-15.0, 15.0), min_size=d, max_size=d),
+                          label="shift")
+        perm = data.draw(st.permutations(range(n)), label="perm")
+        spec = pot.PowerLaw(d, 2.0, 1.0)
+        y = cfg.Configuration(x.points[list(perm)])
 
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(11)
-        spec = pot.PowerLaw(3, 2.0, 1.0)
-        x = random_config(rng, 15, 3)
-        y = cfg.Configuration(x.points[rng.permutation(15)])
-        assert cfg.discrete_energy(spec, y) \
-            == pytest.approx(cfg.discrete_energy(spec, x), rel=1e-12)
+        e0 = cfg.discrete_energy(spec, x)
+        assert cfg.discrete_energy(spec, x.translated(shift)) \
+            == pytest.approx(e0, rel=1e-12, abs=1e-12)
+        assert cfg.discrete_energy(spec, y) == pytest.approx(e0, rel=1e-12, abs=1e-12)
         assert cfg.diameter(y) == cfg.diameter(x)
+
+        # force terms are bounded by |W'(r)| / N per component
+        r = np.linalg.norm(x.points[:, None, :] - x.points[None, :, :], axis=2)
+        scale = np.abs(spec.radial_derivative(r[r > 0])).sum() / n
+        f = cfg.per_particle_forces(spec, x)
+        assert np.allclose(cfg.per_particle_forces(spec, y), f[list(perm)],
+                           rtol=0.0, atol=1e-12 * scale)
+        assert np.allclose(f.sum(axis=0), 0.0, rtol=0.0, atol=1e-12 * scale)
 
     def test_power_law_scaling_identity(self):
         # regression of kernel evaluation: W(t x) = t^a |x|^a/a - t^b |x|^b/b

@@ -5,6 +5,7 @@ import pytest
 
 from pairenergy import configuration as cfg
 from pairenergy import diagnostics as diag
+from pairenergy import optimizer as opt
 from pairenergy import potentials as pot
 
 PL21 = pot.PowerLaw(2, 2.0, 1.0)
@@ -186,6 +187,12 @@ class TestDiameterBound:
         assert not bad.holds
         tri = diag.diameter_bound_check(PL21, EQUILATERAL)
         assert tri.K_N == pytest.approx(4 * math.sqrt(2)) and tri.holds
+
+    def test_multistart_minimisers_within_bound(self):
+        for n in (2, 5, 10):
+            res = opt.minimize_multistart(PL21, n, opt.OptimOpts(seed=42, n_starts=4,
+                                                                 hop_count=2))
+            assert diag.diameter_bound_check(PL21, res.best).holds
 
 
 class TestReport:

@@ -47,6 +47,17 @@ class TestCarriers:
         assert back.resolution == 16
         assert np.array_equal(back.masses, rho.masses)
 
+    def test_grid_load_from_another_directory(self, tmp_path, monkeypatch):
+        rho = mea.uniform_box(1, 1.0, 16)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path)
+        rho.save("sub/g.json")
+        monkeypatch.chdir(tmp_path / "sub")
+        assert np.array_equal(mea.GridDensity.load("g.json").masses, rho.masses)
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert np.array_equal(mea.GridDensity.load("../sub/g.json").masses, rho.masses)
+
     def test_atoms_csv_round_trip(self, tmp_path):
         mu = mea.AtomicMeasure([[0.0, 1.0], [2.0, -1.0]], [0.25, 0.75])
         p = tmp_path / "mu.csv"

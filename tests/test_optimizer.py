@@ -126,11 +126,6 @@ class TestMultistart:
         assert len(res.starts_summary) == FAST.n_starts + FAST.hop_count
         assert res.energy == min(e for _, e in res.starts_summary)
 
-    def test_diameter_within_existence_bound(self):
-        for n in (2, 5, 10):
-            res = opt.minimize_multistart(PL21, n, FAST)
-            assert opt.diameter_within_existence_bound(PL21, res.best)
-
     def test_needs_two_particles(self):
         with pytest.raises(cfg.ConfigurationError):
             opt.minimize_multistart(PL21, 1, FAST)

@@ -1,0 +1,96 @@
+"""Pair sums across the 512-row blocks of the pairs module, against exactly
+rounded sums (math.fsum) of the same terms computed one row at a time."""
+
+import math
+
+import numpy as np
+import pytest
+
+from pairenergy import configuration as cfg
+from pairenergy import measures as mea
+from pairenergy import potentials as pot
+
+MORSE = pot.Morse(2, 1.0, 0.5, 1.0, 1.0)
+PL21 = pot.PowerLaw(2, 2.0, 1.0)
+MORSE_W0_1 = pot.Morse(2, 2.0, 0.5, 1.0, 1.0)   # W(0) = 1; MORSE and PL21 have W(0) = 0
+SINGULAR = pot.PowerLaw(3, 4.0, -0.5)           # b < 0 needs d >= 3
+
+REL = 1e-12   # of the sum of the absolute values of the terms
+
+
+def close(got, terms, scale=1.0):
+    """got == scale * fsum(terms) up to REL * scale * fsum(|terms|)."""
+    want = scale * math.fsum(terms)
+    return abs(got - want) <= REL * scale * math.fsum(abs(t) for t in terms)
+
+
+def row_terms(spec, pts, i):
+    """(W terms, force terms (n-1, d), distances) of row i, self-pair excluded."""
+    diff = np.delete(pts[i] - pts, i, axis=0)
+    r = np.sqrt((diff * diff).sum(axis=1))
+    w = np.asarray(spec.radial(r), dtype=float)
+    safe = np.where(r == 0.0, 1.0, r)
+    return w, (spec.radial_derivative(safe) / safe)[:, None] * diff, r
+
+
+def spread_points(n, d, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-1.0, 1.0, size=(n, d)) * 0.5 * n ** (1.0 / d)
+
+
+@pytest.mark.parametrize("spec", [MORSE, PL21], ids=["morse", "power_law"])
+@pytest.mark.parametrize("n", [511, 512, 513, 1100])
+def test_sums_across_row_blocks(spec, n):
+    pts = spread_points(n, 2, n)
+    X = cfg.Configuration(pts)
+    energy = cfg.discrete_energy(spec, X)
+    potentials = cfg.per_particle_potentials(spec, X)
+    forces = cfg.per_particle_forces(spec, X)
+    all_w, dists = [], []
+    for i in range(n):
+        w, f, r = row_terms(spec, pts, i)
+        all_w.extend(w)
+        dists.append(r)
+        assert close(potentials[i], w, 1.0 / n)
+        for k in range(2):
+            assert close(forces[i, k], f[:, k], 1.0 / n)
+    assert close(energy, all_w, 1.0 / (2.0 * n * n))
+    dists = np.concatenate(dists)
+    assert cfg.diameter(X) == pytest.approx(dists.max(), rel=REL)
+    assert cfg.min_pair_distance(X) == pytest.approx(dists.min(), rel=REL)
+
+
+def test_coincident_pair_in_different_blocks():
+    n = 1100
+    pts = spread_points(n, 2, 7)
+    pts[600] = pts[0]
+    X = cfg.Configuration(pts)
+    all_w = []
+    for i in range(n):
+        all_w.extend(row_terms(MORSE_W0_1, pts, i)[0])
+    assert close(cfg.discrete_energy(MORSE_W0_1, X), all_w, 1.0 / (2.0 * n * n))
+    assert cfg.min_pair_distance(X) == 0.0
+    with pytest.raises(cfg.ConfigurationError):
+        cfg.per_particle_forces(MORSE_W0_1, X)
+
+    pts3 = spread_points(n, 3, 8)
+    pts3[600] = pts3[0]
+    X3 = cfg.Configuration(pts3)
+    assert cfg.discrete_energy(SINGULAR, X3) == math.inf
+    p = cfg.per_particle_potentials(SINGULAR, X3)
+    assert np.isinf(p[[0, 600]]).all() and np.isfinite(np.delete(p, [0, 600])).all()
+    with pytest.raises(cfg.ConfigurationError):
+        cfg.per_particle_forces(SINGULAR, X3)
+
+
+def test_atomic_energy_unequal_weights_across_row_blocks():
+    n = 600
+    pts = spread_points(n, 2, 9)
+    w = np.random.default_rng(10).uniform(0.5, 1.5, n)
+    w /= w.sum()
+    mu = mea.AtomicMeasure(pts, w)
+    terms = []
+    for i in range(n):
+        r = np.sqrt(((pts[i] - pts) ** 2).sum(axis=1))
+        terms.extend(w[i] * w * MORSE_W0_1.radial(r))
+    assert close(mea.continuum_energy_atoms(MORSE_W0_1, mu), terms, 0.5)
