@@ -73,6 +73,24 @@ class TestDiscreteEnergy:
         with pytest.raises(cfg.ConfigurationError):
             cfg.discrete_energy(PL21, cfg.Configuration([[0.0, 0.0]]))
 
+    def test_translation_invariance(self):
+        rng = np.random.default_rng(10)
+        x = random_config(rng, 12, 2)
+        e0 = cfg.discrete_energy(PL21, x)
+        for _ in range(100):
+            shift = rng.normal(size=2) * 5
+            e = cfg.discrete_energy(PL21, x.translated(shift))
+            assert e == pytest.approx(e0, rel=1e-12)
+
+    def test_permutation_invariance(self):
+        rng = np.random.default_rng(11)
+        spec = pot.PowerLaw(3, 2.0, 1.0)
+        x = random_config(rng, 15, 3)
+        y = cfg.Configuration(x.points[rng.permutation(15)])
+        assert cfg.discrete_energy(spec, y) \
+            == pytest.approx(cfg.discrete_energy(spec, x), rel=1e-12)
+        assert cfg.diameter(y) == cfg.diameter(x)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_translation_and_permutation_invariance(self, data):
