@@ -71,6 +71,12 @@ def _positive_number(v, where: str, below: float = math.inf) -> float:
     return float(v)
 
 
+def _n_list(v) -> list:
+    if not isinstance(v, list) or not v:
+        raise ConfigError("N_list must be a nonempty list")
+    return [_integer(n, "N_list entry") for n in v]
+
+
 def _parse_potential(obj) -> pot.PotentialSpec:
     try:
         return pot.potential_from_json(obj)
@@ -121,7 +127,7 @@ def _parse_measure(obj) -> measures.GridDensity:
         if key not in obj:
             raise ConfigError(f"measure: missing {key}")
     return measures.uniform_box(_integer(obj["d"], "measure.d"),
-                                float(obj["L"]),
+                                _positive_number(obj["L"], "measure.L"),
                                 _integer(obj["resolution"], "measure.resolution"))
 
 
@@ -249,7 +255,8 @@ def cmd_minimize(cfg: dict, out_dir: Path, seed: int, workers: int, rec: _Record
     with open(out_dir / "diagnostics.json", "w") as fh:
         json.dump(report.to_json(), fh, indent=2)
 
-    rec.write(out_dir, {"energy": result.energy, "converged": result.converged})
+    rec.write(out_dir, {"energy": result.energy, "converged": result.converged,
+                        "stop_reason": result.stop_reason})
     if not result.converged:
         raise NumericFailure("descent did not reach the force tolerance")
     return EXIT_OK
@@ -263,7 +270,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, seed: int, workers: int, rec: _Record) -
     _require_keys(cfg, {"potential", "N_list", "optim", "diagnostics", "seed"},
                   {"potential", "N_list"}, "config")
     spec = _parse_potential(cfg["potential"])
-    n_list = [_integer(v, "N_list entry") for v in cfg["N_list"]]
+    n_list = _n_list(cfg["N_list"])
     opts = _parse_optim(cfg.get("optim"), seed)
     diag_opts = _parse_diag(cfg.get("diagnostics"))
     s = diag_opts.get("morrey_exponent", diag.default_morrey_exponent(spec))
@@ -309,7 +316,7 @@ def cmd_recover(cfg: dict, out_dir: Path, seed: int, workers: int, rec: _Record)
     _require_keys(cfg, {"potential", "N_list", "measure", "refine_levels", "seed"},
                   {"potential", "N_list", "measure"}, "config")
     spec = _parse_potential(cfg["potential"])
-    n_list = [_integer(v, "N_list entry") for v in cfg["N_list"]]
+    n_list = _n_list(cfg["N_list"])
     rho = _parse_measure(cfg["measure"])
     refine = _integer(cfg.get("refine_levels", 3), "refine_levels")
 
@@ -390,7 +397,11 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = cfg.get("seed", 0)
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ConfigError("seed must be an integer")
+        if args.seed is not None:
+            seed = args.seed
         workers = args.workers
         env = os.environ.get(WORKERS_ENV, "")
         workers_from_env = bool(env)

@@ -160,11 +160,15 @@ class GridDensity:
 
     @classmethod
     def load(cls, path) -> "GridDensity":
-        with open(path) as fh:
-            head = json.load(fh)
-        mass_path = os.path.join(os.path.dirname(str(path)), head["mass_csv"])
-        masses = np.loadtxt(mass_path, dtype=float).reshape(-1)
-        return cls(head["lo"], head["hi"], head["resolution"], masses)
+        """Read what `save` wrote; malformed content raises MeasureError."""
+        try:
+            with open(path) as fh:
+                head = json.load(fh)
+            mass_path = os.path.join(os.path.dirname(str(path)), head["mass_csv"])
+            masses = np.loadtxt(mass_path, dtype=float).reshape(-1)
+            return cls(head["lo"], head["hi"], head["resolution"], masses)
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
+            raise MeasureError(f"malformed grid density {path}: {exc!r}") from exc
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Approximate global minimisation of the discrete interaction energy.
 
-Local search is gradient descent with Barzilai-Borwein steps and Armijo
-backtracking; global search wraps it in seeded multistart plus basin-hopping
-kicks.  The stopping rule uses the per-particle force scale
-F_i = (1/N) sum_j grad W(x_i - x_j) so tolerances are N-independent.
+Local search takes L-BFGS directions (the two-loop recursion of Liu & Nocedal
+1989) with monotone Armijo backtracking and a pair-collision guard; global
+search wraps it in seeded multistart plus basin-hopping kicks.  The stopping
+rule uses the per-particle force scale F_i = (1/N) sum_j grad W(x_i - x_j) so
+tolerances are N-independent.
 
 Determinism: every start and hop derives its own generator from
 (seed, index), and the incumbent is reduced in index order, so results are
@@ -13,6 +14,7 @@ bitwise identical for a fixed seed at any worker count.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -24,7 +26,9 @@ from .potentials import PotentialSpec, metadata
 
 _ARMIJO_C = 1e-4
 _SHRINK = 0.5
-_STEP_MIN, _STEP_MAX = 1e-12, 1e3
+_STEP_MIN = 1e-12
+_MEMORY = 10            # curvature pairs kept by L-BFGS
+_CURVATURE_EPS = 1e-10  # store (s, y) only if s.y > eps |s| |y|
 
 
 @dataclass(frozen=True)
@@ -65,8 +69,12 @@ class OptimResult:
     force_residual: float
     starts_summary: tuple          # (start_index, final_energy) pairs
     iterations_used: int
-    converged: bool
+    stop_reason: str               # "converged", "stalled" or "max_iters"
     energy_trace: tuple | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     def to_json(self) -> dict:
         return {"energy": self.energy, "force_residual": self.force_residual,
@@ -75,12 +83,34 @@ class OptimResult:
                 "best": self.best.to_json()}
 
 
+def _lbfgs_direction(grad: np.ndarray, memory, scale: float) -> np.ndarray:
+    """-H grad by the two-loop recursion over the stored (s, y, 1/s.y) pairs.
+
+    H0 is (s.y / y.y) of the newest pair, or `scale` while memory is empty.
+    """
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(memory):
+        a = rho * float(np.sum(s * q))
+        q -= a * y
+        alphas.append(a)
+    if memory:
+        s, y, rho = memory[-1]
+        scale = 1.0 / (rho * float(np.sum(y * y)))
+    q *= scale
+    for (s, y, rho), a in zip(memory, reversed(alphas)):
+        q += (a - rho * float(np.sum(y * q))) * s
+    return -q
+
+
 def minimize_local(spec: PotentialSpec, X0: Configuration,
                    opts: OptimOpts) -> OptimResult:
     """Descend E_N from X0; monotone by construction.
 
     Steps that would bring a pair closer than min_pair_dist are rejected and
-    halved.  Non-convergence within max_iters is reported, not raised.
+    halved.  Non-convergence is reported in `stop_reason`, not raised:
+    "stalled" when no step down to the smallest length is accepted,
+    "max_iters" when the iteration budget runs out.
     """
     opts = opts.resolved(spec)
     n = X0.n
@@ -98,52 +128,48 @@ def minimize_local(spec: PotentialSpec, X0: Configuration,
     residual = float(np.max(np.linalg.norm(grad, axis=1)))
     trace = [f / n]
     iters = 0
-    if residual <= opts.grad_tol:
-        return OptimResult(Configuration(x), f / n, residual, ((0, f / n),),
-                           0, True, tuple(trace))
-
-    step = 1.0 / max(1.0, residual)
-    converged = False
-    for _ in range(opts.max_iters):
+    stop = "converged"
+    memory = deque(maxlen=_MEMORY)
+    while not residual <= opts.grad_tol:
+        if iters == opts.max_iters:
+            stop = "max_iters"
+            break
         iters += 1
-        gnorm2 = float(np.sum(grad * grad))
-        t = step
+        d = _lbfgs_direction(grad, memory, 1.0 / max(1.0, residual))
+        slope = float(np.sum(grad * d))
+        if not slope < 0:
+            memory.clear()
+            d = -grad / max(1.0, residual)
+            slope = float(np.sum(grad * d))
+        t = 1.0
         accepted = False
         for _ in range(80):
-            x_new = x - t * grad
+            x_new = x + t * d
             trial = pairs.SelfBlock(x_new)
             f_new = trial.energy(spec) / (2.0 * n)
-            if trial.rmin >= guard and f_new <= f - _ARMIJO_C * t * gnorm2:
+            if trial.rmin >= guard and f_new <= f + _ARMIJO_C * t * slope:
                 accepted = True
                 break
             t *= _SHRINK
             if t < _STEP_MIN:
                 break
         if not accepted:
-            break  # stalled: cannot make progress at the smallest step
+            stop = "stalled"  # cannot make progress at the smallest step
+            break
 
         grad_new = trial.forces(spec) / n
         s = x_new - x
         y = grad_new - grad
         sy = float(np.sum(s * y))
-        yy = float(np.sum(y * y))
-        ss = float(np.sum(s * s))
-        if sy > 0 and yy > 0:
-            # alternate the two Barzilai-Borwein step lengths
-            step = ss / sy if iters % 2 else sy / yy
-            step = min(max(step, _STEP_MIN), _STEP_MAX)
-        else:
-            step = t
+        if sy > _CURVATURE_EPS * float(np.linalg.norm(s) * np.linalg.norm(y)):
+            memory.append((s, y, 1.0 / sy))
         x, f, grad = x_new, f_new, grad_new
         trace.append(f / n)
         residual = float(np.max(np.linalg.norm(grad, axis=1)))
-        if residual <= opts.grad_tol:
-            converged = True
-            break
 
     energy = f / n
     return OptimResult(Configuration(x), energy, residual, ((0, energy),),
-                       iters, converged, tuple(trace))
+                       iters, stop, tuple(trace))
 
 
 def _sample_ball(rng: np.random.Generator, n: int, d: int, radius: float) -> np.ndarray:
@@ -202,4 +228,4 @@ def minimize_multistart(spec: PotentialSpec, N: int, opts: OptimOpts,
             best = res
 
     return OptimResult(best.best, best.energy, best.force_residual,
-                       tuple(summary), iters, best.converged, best.energy_trace)
+                       tuple(summary), iters, best.stop_reason, best.energy_trace)

@@ -89,6 +89,9 @@ class TestMinimize:
         assert record["config_hash"] == cli._config_hash(stored)
         assert record["tool_version"]
         assert "minimize" in record["phase_wall_times"]
+        assert record["results"]["stop_reason"] == "converged"
+        result = json.load(open(tmp_path / "out" / "minimize.json"))
+        assert "stop_reason" not in result and result["converged"]
 
 
 class TestSweep:
@@ -212,10 +215,21 @@ RECOVER_1D = {"potential": {"kind": "power_law", "d": 1, "a": 2.0, "b": 1.0},
     ("minimize", {"potential": PL21_JSON, "N": 2,
                   "diagnostics": {"morrey_exponent": -1}}, None),
     ("minimize", {"potential": PL21_JSON, "N": 2, "optim": CHEAP_OPTIM}, "abc"),
+    ("minimize", {"potential": PL21_JSON, "N": 2, "seed": "x"}, None),
+    ("recover", dict(RECOVER_1D, measure=dict(RECOVER_1D["measure"], L="abc")), None),
+    ("sweep", {"potential": MORSE_U_JSON, "N_list": 5}, None),
+    ("recover", dict(RECOVER_1D, N_list=5), None),
+    ("sweep", {"potential": MORSE_U_JSON, "N_list": []}, None),
+    ("recover", dict(RECOVER_1D, measure={"grid_file": "not_json.grid"}), None),
 ], ids=["float_n_starts", "string_refine_levels", "negative_morrey_exponent",
-        "non_integer_workers_env"])
+        "non_integer_workers_env", "string_seed", "string_box_L",
+        "scalar_N_list_sweep", "scalar_N_list_recover", "empty_N_list",
+        "grid_file_not_json"])
 def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys,
                                          command, payload, env):
+    # relative file names in a payload resolve against tmp_path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "not_json.grid").write_text("lo, hi\n")
     if env is not None:
         monkeypatch.setenv(cli.WORKERS_ENV, env)
     cfg = write_config(tmp_path, "c.json", payload)

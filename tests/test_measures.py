@@ -58,6 +58,20 @@ class TestCarriers:
         monkeypatch.chdir(tmp_path / "elsewhere")
         assert np.array_equal(mea.GridDensity.load("../sub/g.json").masses, rho.masses)
 
+    @pytest.mark.parametrize("header, masses", [
+        ("lo = -1", "1\n"),
+        ('{"lo": [-1], "hi": [1], "resolution": 1}', "1\n"),
+        ('["g.json.masses.csv"]', "1\n"),
+        ('{"lo": [-1], "hi": [1], "resolution": "x", "mass_csv": "m.csv"}', "1\n"),
+        ('{"lo": [-1], "hi": [1], "resolution": 2, "mass_csv": "m.csv"}', "a\nb\n"),
+    ], ids=["not_json", "missing_key", "not_an_object", "string_resolution",
+            "masses_not_numbers"])
+    def test_grid_load_malformed_is_measure_error(self, tmp_path, header, masses):
+        (tmp_path / "g.json").write_text(header)
+        (tmp_path / "m.csv").write_text(masses)
+        with pytest.raises(mea.MeasureError):
+            mea.GridDensity.load(tmp_path / "g.json")
+
     def test_atoms_csv_round_trip(self, tmp_path):
         mu = mea.AtomicMeasure([[0.0, 1.0], [2.0, -1.0]], [0.25, 0.75])
         p = tmp_path / "mu.csv"

@@ -1,8 +1,11 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairenergy import configuration as cfg
 from pairenergy import optimizer as opt
@@ -10,6 +13,7 @@ from pairenergy import potentials as pot
 
 PL21 = pot.PowerLaw(2, 2.0, 1.0)
 SINGULAR3 = pot.PowerLaw(3, 2.0, -0.5)
+MORSE = pot.Morse(2, 1.0, 0.5, 1.0, 1.0)
 
 FAST = opt.OptimOpts(seed=42, n_starts=4, hop_count=2)
 
@@ -96,6 +100,55 @@ class TestMinimizeLocal:
         assert cfg.min_pair_distance(res.best) >= 1e-6
         assert math.isfinite(res.energy)
 
+    @pytest.mark.parametrize("case", ["converged", "max_iters", "stalled"])
+    def test_stop_reason(self, case):
+        spec, opts = PL21, opt.OptimOpts(seed=0)
+        x0 = cfg.Configuration(np.random.default_rng(12).normal(size=(6, 2)))
+        if case == "max_iters":
+            opts = replace(opts, max_iters=1)
+        elif case == "stalled":
+            # the pair attracts (W is smallest at r = 1), but any step towards
+            # r = 1 breaks the guard at r = 1.5
+            spec, opts = SINGULAR3, replace(opts, min_pair_dist=1.5)
+            x0 = cfg.Configuration([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0]])
+        res = opt.minimize_local(spec, x0, opts)
+        assert res.stop_reason == case
+        assert res.converged == (case == "converged")
+        assert (res.force_residual <= opts.grad_tol) == (case == "converged")
+        if case == "stalled":
+            assert res.iterations_used == 1
+            assert np.array_equal(res.best.points, x0.points)
+
+    def test_morse_starts_converge_quickly(self):
+        # the four seed-0 starts of minimize_multistart at N=50, which take
+        # about 200-300 iterations each
+        opts = replace(opt.OptimOpts(seed=0).resolved(MORSE), max_iters=1000)
+        for k in range(4):
+            rng = np.random.default_rng([0, k])
+            x0 = opt._sample_ball(rng, 50, 2, opts.init_radius)
+            assert opt.minimize_local(MORSE, cfg.Configuration(x0), opts).converged, k
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_descent_properties(self, data):
+        spec = data.draw(st.sampled_from([PL21, SINGULAR3]), label="spec")
+        d = spec.dimension
+        n = data.draw(st.integers(2, 12), label="N")
+        # distinct coordinates on a 0.01 grid: no two points closer than 0.01
+        coords = data.draw(st.lists(st.integers(-300, 300), min_size=n * d,
+                                    max_size=n * d, unique=True), label="coords")
+        x0 = cfg.Configuration(np.reshape(coords, (n, d)) / 100.0)
+        opts = opt.OptimOpts(seed=0)
+        if spec.singular_at_origin:
+            fraction = data.draw(st.floats(1e-6, 1.0), label="guard fraction")
+            opts = replace(opts, min_pair_dist=fraction * cfg.min_pair_distance(x0))
+        res = opt.minimize_local(spec, x0, opts)
+        trace = res.energy_trace
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
+        assert res.energy == trace[-1] <= trace[0]
+        assert trace[0] == pytest.approx(cfg.discrete_energy(spec, x0), rel=1e-12)
+        assert cfg.min_pair_distance(res.best) >= opts.min_pair_dist
+
 
 class TestMultistart:
     def test_two_point_optimum(self):
@@ -129,6 +182,11 @@ class TestMultistart:
     def test_needs_two_particles(self):
         with pytest.raises(cfg.ConfigurationError):
             opt.minimize_multistart(PL21, 1, FAST)
+
+    def test_reports_best_start_stop_reason(self):
+        assert opt.minimize_multistart(PL21, 3, FAST).stop_reason == "converged"
+        res = opt.minimize_multistart(PL21, 6, replace(FAST, max_iters=1))
+        assert res.stop_reason == "max_iters" and not res.converged
 
     def test_singular_multistart(self):
         res = opt.minimize_multistart(SINGULAR3, 6,
