@@ -2,8 +2,9 @@
 
 Two carriers: AtomicMeasure (weighted Dirac atoms) and GridDensity (a
 piecewise-constant density on a half-open box).  The continuum energy
-E(rho) = (1/2) iint W(x-y) drho drho is integrated by a midpoint rule over
-cell pairs with recursive near-diagonal subdivision, which handles the
+E(rho) = (1/2) iint W(x-y) drho drho of a grid density is a midpoint rule
+summed once per cell offset against the FFT mass autocorrelation; offsets
+near the diagonal are refined by recursive subdivision, which handles the
 integrable |x|^b singularities of the supported potentials.
 """
 
@@ -274,14 +275,28 @@ def continuum_energy_atoms(spec: PotentialSpec, mu: AtomicMeasure) -> float:
     return 0.5 * total
 
 
+def _sq_norm(v: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """sum_i v_i^2 u2_i over the last axis of integer-valued vectors v, added
+    in axis order, so vectors with every |v_i| = s give bitwise the value of
+    the all-s vector."""
+    out = v[..., 0] ** 2 * u2[0]
+    for i in range(1, len(u2)):
+        out = out + v[..., i] ** 2 * u2[i]
+    return out
+
+
 def continuum_energy_grid(spec: PotentialSpec, rho: GridDensity,
                           refine_levels: int = 3) -> float:
-    """Midpoint-rule double integral of W over cell pairs.
+    """Midpoint-rule double integral of W, with one value per cell offset.
 
-    Cell pairs with centre distance <= 2 cell diagonals (the diagonal pair
-    included) are refined by recursive 2^d subdivision down to
-    `refine_levels`; at the deepest level exactly-coincident sub-pairs
-    contribute W(0) when finite and vanish for integrable singular kernels.
+    On the grid, W between cells i and j depends only on the offset k = i - j,
+    so E = (1/2) sum_k A(k) K(k), where A(k) = sum_i m_i m_{i+k} is the mass
+    autocorrelation (by FFT).  K(k) = W(|k w|) for offsets farther than 2 cell
+    diagonals.  Offsets within 2 diagonals (ties count as near) are refined by
+    recursive 2^d subdivision down to `refine_levels`, with the same rule on
+    the subcells; at the deepest level exactly-coincident sub-pairs contribute
+    W(0) when finite and vanish for integrable singular kernels.  Only offsets
+    and cell widths enter, so the result is translation invariant.
     """
     if spec.dimension != rho.dim:
         raise PotentialError("dimension mismatch between potential and density")
@@ -290,69 +305,36 @@ def continuum_energy_grid(spec: PotentialSpec, rho: GridDensity,
     if refine_levels < 1:
         raise MeasureError("refine_levels must be >= 1")
 
-    d = rho.dim
-    centres = rho.cell_centres()
-    masses = rho.masses
-    keep = masses > 0
-    centres, masses = centres[keep], masses[keep]
-    m = len(centres)
-    width = rho.cell_width
-    diag = float(np.linalg.norm(width))
-    # exactly coincident sub-pairs at the deepest level: W(0), or 0 for an
-    # integrable singular core
-    core = 0.0 if spec.singular_at_origin else float(spec.radial(0.0))
+    d, g, levels = rho.dim, rho.resolution, refine_levels
+    shape, axes = (2 * g - 1,) * d, tuple(range(d))
+    f = np.fft.rfftn(rho.masses.reshape((g,) * d), s=shape, axes=axes)
+    acorr = np.fft.fftshift(np.fft.irfftn(f * f.conj(), s=shape, axes=axes), axes=axes)
+    weight = acorr.reshape(-1)
+    # offsets in units of w / 2^(levels+1), in which every difference of
+    # subcell centres is an integer vector, so ties with the threshold are
+    # decided exactly
+    u2 = (rho.cell_width / 2 ** (levels + 1)) ** 2
+    diff = (np.indices(shape, dtype=float).reshape(d, -1).T - (g - 1)) * 2 ** (levels + 1)
+    # the (2^d)^2 subpairs of a pair differ by steps in {-1, 0, 1}^d, with
+    # multiplicity prod(2 - |step_i|)
+    steps = np.stack(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij"),
+                     axis=-1).reshape(-1, d)
+    share = np.prod(2 - np.abs(steps), axis=1) / 4 ** d
 
     total = 0.0
-    near_i, near_j = [], []
-    chunk = max(1, (1 << 22) // max(m, 1))
-    for i0, _, dist in pairs.blocks(centres, rows=chunk):
-        near = dist <= 2.0 * diag
-        far_vals = np.where(near, 0.0, spec.radial(np.where(near, 1.0, dist)))
-        total += float((masses[i0:i0 + chunk, None] * masses[None, :] * far_vals).sum())
-        ii, jj = np.nonzero(near)
-        near_i.append(ii + i0)
-        near_j.append(jj)
-
-    ci = centres[np.concatenate(near_i)]
-    cj = centres[np.concatenate(near_j)]
-    wij = masses[np.concatenate(near_i)] * masses[np.concatenate(near_j)]
-
-    sub = np.stack(np.meshgrid(*([[-0.25, 0.25]] * d), indexing="ij"),
-                   axis=-1).reshape(-1, d)  # subcell centre offsets in units of width
-    n_sub = 1 << d
-    cur_width = width.copy()
-    for level in range(1, refine_levels + 1):
-        off = sub * cur_width  # offsets from parent centre to subcell centres
-        # all (2^d)^2 subpairs of every near pair, processed in fixed chunks
-        new_ci, new_cj, new_w = [], [], []
-        pair_chunk = max(1, (1 << 20) // (n_sub * n_sub))
-        for p0 in range(0, len(ci), pair_chunk):
-            a = ci[p0:p0 + pair_chunk, None, :] + off[None, :, :]      # (P, S, d)
-            b = cj[p0:p0 + pair_chunk, None, :] + off[None, :, :]
-            dvec = a[:, :, None, :] - b[:, None, :, :]                 # (P, S, S, d)
-            dist = np.sqrt(np.einsum("pijk,pijk->pij", dvec, dvec))
-            wsub = wij[p0:p0 + pair_chunk, None, None] / (n_sub * n_sub)
-            if level == refine_levels:
-                zero = dist == 0.0
-                vals = np.where(zero, core, spec.radial(np.where(zero, 1.0, dist)))
-                total += float((wsub * vals).sum())
-            else:
-                threshold = 2.0 * float(np.linalg.norm(cur_width / 2.0))
-                near = dist <= threshold
-                vals = np.where(near, 0.0, spec.radial(np.where(near, 1.0, dist)))
-                total += float((wsub * vals).sum())
-                pi, si, sj = np.nonzero(near)
-                new_ci.append(a[pi, si])
-                new_cj.append(b[pi, sj])
-                new_w.append(np.broadcast_to(wsub, dist.shape)[pi, si, sj])
-        if level < refine_levels:
-            ci = np.concatenate(new_ci) if new_ci else np.empty((0, d))
-            cj = np.concatenate(new_cj) if new_cj else np.empty((0, d))
-            wij = np.concatenate(new_w) if new_w else np.empty((0,))
-            cur_width = cur_width / 2.0
-            if len(ci) == 0:
-                break
-
+    for level in range(levels):
+        r2 = _sq_norm(diff, u2)
+        # 2 (sub)cell diagonals
+        near = r2 <= _sq_norm(np.full(d, 2 ** (levels + 2 - level)), u2)
+        total += float(weight[~near] @ spec.radial(np.sqrt(r2[~near])))
+        diff = (diff[near, None, :] + steps * 2 ** (levels - level)).reshape(-1, d)
+        weight = (weight[near, None] * share).reshape(-1)
+    # exactly coincident sub-pairs at the deepest level: W(0), or 0 for an
+    # integrable singular core
+    r = np.sqrt(_sq_norm(diff, u2))
+    zero = r == 0.0
+    core = 0.0 if spec.singular_at_origin else float(spec.radial(0.0))
+    total += float(weight @ np.where(zero, core, spec.radial(np.where(zero, 1.0, r))))
     return 0.5 * total
 
 

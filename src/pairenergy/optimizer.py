@@ -107,22 +107,25 @@ def minimize_local(spec: PotentialSpec, X0: Configuration,
                    opts: OptimOpts) -> OptimResult:
     """Descend E_N from X0; monotone by construction.
 
-    Steps that would bring a pair closer than min_pair_dist are rejected and
-    halved.  Non-convergence is reported in `stop_reason`, not raised:
-    "stalled" when no step down to the smallest length is accepted,
-    "max_iters" when the iteration budget runs out.
+    A start with a coincident pair raises ConfigurationError, as does one
+    closer than min_pair_dist under a singular kernel.  Steps that would make
+    a pair coincide, or for a singular kernel bring it closer than
+    min_pair_dist, are rejected and halved.  Non-convergence is reported in
+    `stop_reason`, not raised: "stalled" when no step down to the smallest
+    length is accepted, "max_iters" when the iteration budget runs out.
     """
     opts = opts.resolved(spec)
     n = X0.n
     if n < 2:
         raise ConfigurationError("minimisation needs N >= 2")
-    if spec.singular_at_origin and min_pair_distance(X0) < opts.min_pair_dist:
-        raise ConfigurationError("initial configuration has a near-coincident pair")
 
     guard = opts.min_pair_dist if spec.singular_at_origin else 0.0
     # f is N E_N; an accepted trial's block is reused for its forces
     x = np.array(X0.points)
     state = pairs.SelfBlock(x)
+    if state.rmin == 0.0 or state.rmin < guard:
+        # no force at a coincident pair, under any kernel
+        raise ConfigurationError("initial configuration has a (near-)coincident pair")
     f = state.energy(spec) / (2.0 * n)
     grad = state.forces(spec) / n
     residual = float(np.max(np.linalg.norm(grad, axis=1)))
@@ -147,7 +150,8 @@ def minimize_local(spec: PotentialSpec, X0: Configuration,
             x_new = x + t * d
             trial = pairs.SelfBlock(x_new)
             f_new = trial.energy(spec) / (2.0 * n)
-            if trial.rmin >= guard and f_new <= f + _ARMIJO_C * t * slope:
+            if trial.rmin > 0.0 and trial.rmin >= guard \
+                    and f_new <= f + _ARMIJO_C * t * slope:
                 accepted = True
                 break
             t *= _SHRINK

@@ -2,10 +2,9 @@
 
 Every pair sum of the package takes its distances from here: the discrete
 energy, the per-particle potentials and forces (also inside the optimizer),
-the atomic continuum energy, the far field of the grid energy and the
-transport cost matrices.  Rows are processed in fixed blocks, so results are
-bitwise reproducible for a given input: the blocking never depends on worker
-counts or the environment.
+the atomic continuum energy and the transport cost matrices.  Rows are
+processed in fixed blocks, so results are bitwise reproducible for a given
+input: the blocking never depends on worker counts or the environment.
 """
 
 from __future__ import annotations
@@ -23,10 +22,10 @@ def differences(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diff, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def blocks(x: np.ndarray, rows: int = _ROWS):
-    """Yield (i0, *differences(x[i0:i0 + rows], x)) over the row blocks of x."""
-    for i0 in range(0, len(x), rows):
-        yield (i0, *differences(x[i0:i0 + rows], x))
+def blocks(x: np.ndarray):
+    """Yield (i0, *differences(x[i0:i0 + _ROWS], x)) over the row blocks of x."""
+    for i0 in range(0, len(x), _ROWS):
+        yield (i0, *differences(x[i0:i0 + _ROWS], x))
 
 
 def kernel(spec, r: np.ndarray) -> np.ndarray:

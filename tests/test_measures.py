@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairenergy import configuration as cfg
 from pairenergy import measures as mea
@@ -156,6 +159,65 @@ class TestContinuumEnergyGrid:
     def test_too_coarse_errors(self):
         with pytest.raises(mea.MeasureError):
             mea.continuum_energy_grid(PL11, mea.uniform_box(1, 1.0, 2))
+
+    def test_pinned_box_values(self):
+        # values of the earlier pair-by-pair quadrature: with dyadic cell
+        # widths its centre differences were exact, so it decided ties alike
+        e2 = mea.continuum_energy_grid(pot.PowerLaw(2, 2.0, 1.0), mea.uniform_box(2, 1.0, 16))
+        assert e2 == pytest.approx(-0.188594289124275, rel=1e-12)
+        e3 = mea.continuum_energy_grid(SINGULAR3, mea.uniform_box(3, 1.0, 8))
+        assert e3 == pytest.approx(1.42968503515024, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_pair_loop_at_one_level(self, d):
+        # reference: the midpoint rule pair by pair, with cell pairs within 2
+        # diagonals (ties included) split into all (2^d)^2 subcell pairs
+        rng = np.random.default_rng(d)
+        g = 5
+        spec = pot.Morse(d, 2.0, 1.0, 1.0, 0.5)
+        m = rng.random(g ** d) * (rng.random(g ** d) < 0.8)
+        m /= m.sum()
+        rho = mea.GridDensity(rng.uniform(-1.0, 0.0, d), rng.uniform(1.0, 2.0, d), g, m)
+        w = rho.cell_width
+        cells = np.array(list(itertools.product(range(g), repeat=d)))
+        sub = np.array(list(itertools.product([-0.25, 0.25], repeat=d))) * w
+        total = 0.0
+        for i, j in itertools.product(range(g ** d), repeat=2):
+            k = cells[i] - cells[j]
+            if np.sum((k * w) ** 2) <= 4.0 * np.sum(w ** 2) * (1.0 + 1e-12):
+                r = np.linalg.norm(k * w + sub[:, None, :] - sub[None, :, :], axis=-1)
+                val = float(np.mean(spec.radial(r)))
+            else:
+                val = float(spec.radial(np.linalg.norm(k * w)))
+            total += m[i] * m[j] * val
+        e = mea.continuum_energy_grid(spec, rho, refine_levels=1)
+        assert e == pytest.approx(0.5 * total, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_translation_and_reflection_invariance(self, data):
+        d = data.draw(st.integers(1, 3), label="d")
+        g = data.draw(st.integers(4, 10), label="g")
+        # W = 2 exp(-r) - exp(-2r) > 0 keeps the energy away from 0, so the
+        # relative tolerance measures rounding only
+        specs = [pot.Morse(d, 2.0, 1.0, 1.0, 0.5)] + ([SINGULAR3] if d == 3 else [])
+        spec = data.draw(st.sampled_from(specs), label="spec")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        m = rng.random(g ** d) * (rng.random(g ** d) < 0.7)
+        m[rng.integers(g ** d)] += 1.0
+        m /= m.sum()
+        lo = rng.uniform(-3.0, 3.0, d)
+        hi = lo + rng.uniform(0.25, 1.0, d)
+        non_dyadic = st.floats(-3.0, 3.0).filter(lambda s: s * 2 ** 10 % 1 != 0)
+        shift = np.array([data.draw(non_dyadic, label="shift") for _ in range(d)])
+        axis = data.draw(st.integers(0, d - 1), label="axis")
+        flipped = np.flip(m.reshape((g,) * d), axis=axis).reshape(-1)
+
+        e = mea.continuum_energy_grid(spec, mea.GridDensity(lo, hi, g, m))
+        moved = mea.continuum_energy_grid(spec, mea.GridDensity(lo + shift, hi + shift, g, m))
+        mirrored = mea.continuum_energy_grid(spec, mea.GridDensity(lo, hi, g, flipped))
+        assert moved == pytest.approx(e, rel=1e-13, abs=0)
+        assert mirrored == pytest.approx(e, rel=1e-13, abs=0)
 
 
 class TestGridMorreyNorm:

@@ -92,6 +92,13 @@ class TestMinimizeLocal:
         with pytest.raises(cfg.ConfigurationError):
             opt.minimize_local(SINGULAR3, x0, opt.OptimOpts(seed=0))
 
+    @pytest.mark.parametrize("spec", [PL21, MORSE], ids=["power_law", "morse"])
+    def test_rejects_coincident_start_for_bounded(self, spec):
+        # the force of a coincident pair is undefined under any kernel
+        x0 = cfg.Configuration([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(cfg.ConfigurationError):
+            opt.minimize_local(spec, x0, opt.OptimOpts(seed=0))
+
     def test_singular_descent_respects_pair_guard(self):
         rng = np.random.default_rng(11)
         x0 = cfg.Configuration(rng.normal(size=(8, 3)))
