@@ -356,7 +356,9 @@ def cmd_analyze(cfg: dict, out_dir: Path, seed: int, workers: int, rec: _Record)
     spec = _parse_potential(cfg["potential"])
     diag_opts = _parse_diag(cfg.get("diagnostics"))
     path = cfg["configuration_file"]
-    if str(path).endswith(".csv"):
+    if not isinstance(path, str):
+        raise ConfigError("configuration_file must be a path string")
+    if path.endswith(".csv"):
         X = Configuration.load_csv(path)
     else:
         X = Configuration.load_json(path)

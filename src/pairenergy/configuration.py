@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -64,7 +63,10 @@ class Configuration:
     def from_json(cls, obj: dict) -> "Configuration":
         if not isinstance(obj, dict) or set(obj) != {"d", "points"}:
             raise ConfigurationError('configuration JSON must be {"d": ..., "points": [...]}')
-        pts = np.array(obj["points"], dtype=float)
+        try:
+            pts = np.array(obj["points"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"points must be rows of numbers: {exc}") from None
         if pts.ndim != 2 or pts.shape[1] != obj["d"]:
             raise ConfigurationError("points do not match the declared dimension")
         if not np.all(np.isfinite(pts)):
@@ -78,7 +80,11 @@ class Configuration:
     @classmethod
     def load_json(cls, path) -> "Configuration":
         with open(path) as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                obj = json.load(fh)
+            except ValueError as exc:
+                raise ConfigurationError(f"{path}: not a JSON file: {exc}") from None
+        return cls.from_json(obj)
 
     def save_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -88,16 +94,14 @@ class Configuration:
 
     @classmethod
     def load_csv(cls, path) -> "Configuration":
-        rows = []
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row:
-                    continue
-                vals = [float(v) for v in row]
-                if not all(math.isfinite(v) for v in vals):
-                    raise ConfigurationError("NaN/Inf coordinates rejected")
-                rows.append(vals)
-        return cls(np.array(rows, dtype=float))
+            try:
+                rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
+                pts = np.array(rows, dtype=float)
+            except (ValueError, csv.Error) as exc:
+                raise ConfigurationError(
+                    f"{path}: rows must be numbers, all of one length: {exc}") from None
+        return cls(pts)
 
 
 class BallMassQuery(NamedTuple):

@@ -18,7 +18,8 @@ import numpy as np
 from .configuration import (Configuration, ConfigurationError, ball_mass,
                             diameter, min_pair_distance,
                             per_particle_potentials)
-from .potentials import PotentialSpec, QuadratureOpts, _ball_deviation_sums, metadata
+from .potentials import (PotentialError, PotentialSpec, QuadratureOpts,
+                         _ball_deviation_sums, metadata)
 
 
 @dataclass(frozen=True)
@@ -113,11 +114,15 @@ def stationarity_check(spec: PotentialSpec, X: Configuration, eps: float,
                        quad: QuadratureOpts = QuadratureOpts()) -> StationarityResult:
     """Evaluate the minimiser stationarity sums at finite epsilon.
 
-    Requires eps < half the minimum interparticle distance so no kernel
-    singularity enters any averaging ball.
+    Requires X to have the potential's dimension (else PotentialError) and
+    eps < half the minimum interparticle distance so no kernel singularity
+    enters any averaging ball.
     """
     if X.n < 2:
         raise ConfigurationError("stationarity check needs N >= 2")
+    if X.dim != spec.dimension:
+        raise PotentialError(
+            f"potential dimension {spec.dimension} != configuration dimension {X.dim}")
     min_dist = min_pair_distance(X)
     if not eps > 0:
         raise ValueError("eps must be positive")

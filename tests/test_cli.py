@@ -221,15 +221,30 @@ RECOVER_1D = {"potential": {"kind": "power_law", "d": 1, "a": 2.0, "b": 1.0},
     ("recover", dict(RECOVER_1D, N_list=5), None),
     ("sweep", {"potential": MORSE_U_JSON, "N_list": []}, None),
     ("recover", dict(RECOVER_1D, measure={"grid_file": "not_json.grid"}), None),
+    ("analyze", {"potential": PL21_JSON, "configuration_file": 12345}, None),
+    ("analyze", {"potential": PL21_JSON, "configuration_file": ["x.json"]}, None),
+    ("analyze", {"potential": PL21_JSON, "configuration_file": "not_json.json"}, None),
+    ("analyze", {"potential": PL21_JSON, "configuration_file": "text_point.json"}, None),
+    ("analyze", {"potential": PL21_JSON, "configuration_file": "ragged.json"}, None),
+    ("analyze", {"potential": PL21_JSON, "configuration_file": "text_point.csv"}, None),
+    ("analyze", {"potential": PL21_JSON, "configuration_file": "ragged.csv"}, None),
 ], ids=["float_n_starts", "string_refine_levels", "negative_morrey_exponent",
         "non_integer_workers_env", "string_seed", "string_box_L",
         "scalar_N_list_sweep", "scalar_N_list_recover", "empty_N_list",
-        "grid_file_not_json"])
+        "grid_file_not_json", "integer_configuration_file", "list_configuration_file",
+        "configuration_not_json", "configuration_text_point_json",
+        "configuration_ragged_json", "configuration_text_point_csv",
+        "configuration_ragged_csv"])
 def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys,
                                          command, payload, env):
     # relative file names in a payload resolve against tmp_path
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "not_json.grid").write_text("lo, hi\n")
+    files = {"not_json.grid": "lo, hi\n", "not_json.json": "points: [0, 0]\n",
+             "text_point.json": '{"d": 2, "points": [[0, 0], ["a", 1]]}',
+             "ragged.json": '{"d": 2, "points": [[0, 0], [1]]}',
+             "text_point.csv": "0,0\na,1\n", "ragged.csv": "0,0\n1\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
     if env is not None:
         monkeypatch.setenv(cli.WORKERS_ENV, env)
     cfg = write_config(tmp_path, "c.json", payload)

@@ -170,6 +170,14 @@ class TestStationarity:
         with pytest.raises(ValueError):
             diag.stationarity_check(PL11, TWO_POINTS, 0.0)
 
+    @pytest.mark.parametrize("points", [[[0.0], [1.0], [2.5]],
+                                        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                         [0.0, 2.5, 0.0]]],
+                             ids=["d1_points", "d3_points"])
+    def test_dimension_mismatch(self, points):
+        with pytest.raises(pot.PotentialError, match="dimension"):
+            diag.stationarity_check(MORSE2, cfg.Configuration(points), 1e-3)
+
 
 class TestLowerMass:
     def test_examples(self):

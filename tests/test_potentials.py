@@ -221,6 +221,38 @@ class TestApproximateLaplacian:
             assert -v >= 0.9 * c * r ** (-beta)
 
 
+def unblocked_ball_terms(fn, z, eps, d):
+    """Per-row scaled ball deviations with all radii of a set built at once
+    by np.linalg.norm over the (M, P, d) cube of shifted rule points."""
+    pts, w = pot._ball_rule(d, pot.QuadratureOpts())
+    radii = np.linalg.norm(z[:, None, :] + eps * pts[None, :, :], axis=2)
+    centre = fn(np.linalg.norm(z, axis=1))
+    return 2.0 * (d + 2.0) / eps**2 * (fn(radii) @ w - centre)
+
+
+class TestBallDeviationSums:
+    @pytest.mark.parametrize("one_row", [False, True], ids=["budget", "one_row"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_unblocked_norms(self, monkeypatch, d, one_row):
+        # d = 4 is the quasi-Monte Carlo rule; set sizes straddle the block rows
+        spec = pot.Morse(d, 1.0, 0.5, 1.0, 1.0)
+        rows = max(1, pot._BALL_VALUES // len(pot._ball_rule(d, pot.QuadratureOpts())[0]))
+        if one_row:
+            monkeypatch.setattr(pot, "_BALL_VALUES", 1)
+        rng = np.random.default_rng(d)
+        sets = []
+        for m in (1, rows - 1, rows, rows + 1, 2 * rows + 1):
+            u = rng.normal(size=(m, d))
+            sets.append(u / np.linalg.norm(u, axis=1, keepdims=True)
+                        * rng.uniform(1.0, 2.0, size=(m, 1)))
+        eps = 1e-2   # about 1e-2 |z|: below that the two differ by cancellation
+        sums = pot._ball_deviation_sums(spec.radial, sets, eps, d, pot.QuadratureOpts())
+        assert len(sums) == len(sets)
+        for z, value in zip(sets, sums):
+            terms = unblocked_ball_terms(spec.radial, z, eps, d)
+            assert abs(value - terms.sum()) <= 1e-9 * np.abs(terms).sum()
+
+
 class TestStability:
     def test_examples(self):
         assert pot.classify_stability(MORSE_U).classification == pot.UNSTABLE
