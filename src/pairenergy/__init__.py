@@ -5,11 +5,9 @@ diagnostics, and the grid recovery construction."""
 __version__ = "0.1.0"
 
 from .configuration import (
-    BallMassQuery,
     Configuration,
     ConfigurationError,
     ball_mass,
-    ball_mass_query,
     diameter,
     discrete_energy,
     energy_gradient,
@@ -50,7 +48,6 @@ from .potentials import (
     PotentialMetadata,
     PotentialSpec,
     PowerLaw,
-    QuadratureOpts,
     StabilityReport,
     approximate_laplacian,
     classify_stability,
@@ -63,7 +60,6 @@ from .potentials import (
 from .recovery import (
     RecoveryError,
     RecoveryResult,
-    atoms_to_recovery_grid,
     auxiliary_count_bound,
     build_recovery,
     recovery_convergence_report,

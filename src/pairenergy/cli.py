@@ -204,25 +204,33 @@ class _Record:
 # Commands
 # --------------------------------------------------------------------------
 
+def _parse_scan(obj) -> dict:
+    """Keyword arguments of numeric_instability_scan from a `scan` object."""
+    _require_keys(obj, {"scales", "resolution", "margin"}, set(), "scan")
+    scales = obj.get("scales")
+    if scales is None:
+        scales = np.geomspace(0.1, 20.0, 16).tolist()
+    elif not isinstance(scales, list) or not scales:
+        raise ConfigError("scan.scales must be a nonempty list")
+    out = {"scales": [_positive_number(t, "scan.scales entry") for t in scales],
+           "tolerance": _positive_number(obj.get("margin", 1e-6), "scan.margin")}
+    if obj.get("resolution") is not None:
+        out["resolution"] = _integer(obj["resolution"], "scan.resolution")
+    return out
+
+
 def cmd_classify(cfg: dict, out_dir: Path, seed: int, workers: int, rec: _Record) -> int:
     _require_keys(cfg, {"potential", "seed", "scan"}, {"potential"}, "config")
     spec = _parse_potential(cfg["potential"])
+    scan_cfg = cfg.get("scan")
+    if scan_cfg is None and math.isfinite(pot.metadata(spec).W_inf):
+        scan_cfg = {}
+    scan = None if scan_cfg is None else _parse_scan(scan_cfg)
     rec.start("classify")
     report = pot.classify_stability(spec)
     payload = report.to_json()
-    scan_cfg = cfg.get("scan")
-    md = pot.metadata(spec)
-    if scan_cfg is not None or math.isfinite(md.W_inf):
-        if scan_cfg is None:
-            scan_cfg = {}
-        _require_keys(scan_cfg, {"scales", "resolution", "margin"}, set(), "scan")
-        scales = scan_cfg.get("scales")
-        if scales is None:
-            scales = np.geomspace(0.1, 20.0, 16).tolist()
-        cert = pot.numeric_instability_scan(
-            spec, scales,
-            resolution=scan_cfg.get("resolution"),
-            tolerance=float(scan_cfg.get("margin", 1e-6)))
+    if scan is not None:
+        cert = pot.numeric_instability_scan(spec, **scan)
         payload["certificate"] = {
             "found": cert.found, "best_scale": cert.best_scale,
             "best_energy": cert.best_energy, "threshold": cert.threshold,

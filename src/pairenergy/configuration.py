@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import NamedTuple
 
 import numpy as np
 
@@ -104,14 +103,6 @@ class Configuration:
         return cls(pts)
 
 
-class BallMassQuery(NamedTuple):
-    """Mass of the open r-ball around particle i, not counting particle i."""
-
-    index: int
-    radius: float
-    mass: float
-
-
 # --------------------------------------------------------------------------
 # Pairwise kernels
 # --------------------------------------------------------------------------
@@ -170,10 +161,6 @@ def ball_mass(X: Configuration, i: int, r: float) -> float:
     d = np.linalg.norm(X.points - X.points[i], axis=1)
     count = int(np.count_nonzero(d < r)) - 1  # centre particle excluded
     return count / X.n
-
-
-def ball_mass_query(X: Configuration, i: int, r: float) -> BallMassQuery:
-    return BallMassQuery(index=i, radius=float(r), mass=ball_mass(X, i, r))
 
 
 def _blocks(spec: PotentialSpec, X: Configuration, what: str):

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .configuration import (Configuration, ConfigurationError, ball_mass,
                             diameter, min_pair_distance,
                             per_particle_potentials)
-from .potentials import (PotentialError, PotentialSpec, QuadratureOpts,
-                         _ball_deviation_sums, metadata)
+from .pairs import self_blocks
+from .potentials import PotentialError, PotentialSpec, _ball_deviation, metadata
 
 
 @dataclass(frozen=True)
@@ -110,13 +111,15 @@ class StationarityResult:
     eps: float
 
 
-def stationarity_check(spec: PotentialSpec, X: Configuration, eps: float,
-                       quad: QuadratureOpts = QuadratureOpts()) -> StationarityResult:
+def stationarity_check(spec: PotentialSpec, X: Configuration,
+                       eps: float) -> StationarityResult:
     """Evaluate the minimiser stationarity sums at finite epsilon.
 
-    Requires X to have the potential's dimension (else PotentialError) and
-    eps < half the minimum interparticle distance so no kernel singularity
-    enters any averaging ball.
+    lap^eps W(z) depends on |z| only, so v_j is the row sum over particle j
+    of the radial kernel f_eps(r) of potentials._ball_deviation on the pair
+    distances.  Requires X to have the potential's dimension (else
+    PotentialError) and eps < half the minimum interparticle distance so no
+    kernel singularity enters any averaging ball.
     """
     if X.n < 2:
         raise ConfigurationError("stationarity check needs N >= 2")
@@ -129,9 +132,10 @@ def stationarity_check(spec: PotentialSpec, X: Configuration, eps: float,
     if not eps < 0.5 * min_dist:
         raise ValueError(
             f"eps must be below half the minimum pair distance ({0.5 * min_dist:g})")
-    offsets = (np.delete(X.points - X.points[j], j, axis=0) for j in range(X.n))
-    vals = _ball_deviation_sums(spec.radial, offsets, eps, spec.dimension, quad)
-    return StationarityResult(tuple(vals), min(vals), eps)
+    ball = SimpleNamespace(
+        radial=lambda r: _ball_deviation(spec.radial, r, eps, spec.dimension))
+    vals = np.concatenate([blk.potentials(ball) for blk in self_blocks(X.points)])
+    return StationarityResult(tuple(vals.tolist()), float(vals.min()), eps)
 
 
 def lower_mass_profile(X: Configuration, r: float) -> float:
@@ -201,8 +205,7 @@ def default_morrey_exponent(spec: PotentialSpec) -> float:
 def build_report(spec: PotentialSpec, X: Configuration, *,
                  morrey_exponent: float | None = None,
                  eps_factors=(1e-2, 1e-3, 1e-4),
-                 lower_mass_radius: float | None = None,
-                 quad: QuadratureOpts = QuadratureOpts()) -> DiagnosticsReport:
+                 lower_mass_radius: float | None = None) -> DiagnosticsReport:
     """Full verification record for one configuration.
 
     Stationarity is evaluated at eps = factor * (min pair distance) for each
@@ -225,7 +228,7 @@ def build_report(spec: PotentialSpec, X: Configuration, *,
             eps = fac * min_dist
             if eps >= 0.5 * min_dist:
                 continue
-            res = stationarity_check(spec, X, eps, quad)
+            res = stationarity_check(spec, X, eps)
             stat.append((eps, res.min_value))
         if stat and min(v for _, v in stat) < 0:
             notes.append("negative stationarity value: X need not be a minimiser")

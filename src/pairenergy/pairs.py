@@ -2,9 +2,10 @@
 
 Every pair sum of the package takes its distances from here: the discrete
 energy, the per-particle potentials and forces (also inside the optimizer),
-the atomic continuum energy and the transport cost matrices.  Rows are
-processed in fixed blocks, so results are bitwise reproducible for a given
-input: the blocking never depends on worker counts or the environment.
+the stationarity sums, the atomic continuum energy and the transport cost
+matrices.  Rows are processed in fixed blocks, so results are bitwise
+reproducible for a given input: the blocking never depends on worker counts
+or the environment.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Pair potentials: power-law and Morse families, derived constants,
-approximate Laplacians and stability classification.
+approximate Laplacians (ball averages by a Gauss rule in the radius and the
+axial cosine) and stability classification.
 
 A potential is a radially symmetric function W on R^d, attractive at long
 range and repulsive at short range.  Everything downstream (energies,
@@ -15,6 +16,7 @@ from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
+from scipy.special import roots_jacobi
 
 
 class PotentialError(ValueError):
@@ -267,112 +269,69 @@ def metadata(spec: PotentialSpec) -> PotentialMetadata:
 
 
 # --------------------------------------------------------------------------
-# Ball-average quadrature and the approximate Laplacian
+# Ball averages and the approximate Laplacian
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureOpts:
-    """Deterministic ball-average rule: product rule (radii x directions)
-    for d <= 3, fixed quasi-random points for d >= 4."""
+# Node counts (radius, axial cosine) of the ball-average rule, and of the
+# coarser rule behind approximate_laplacian's error estimate.
+_RULE = (8, 16)
+_COARSE_RULE = (4, 8)
 
-    radial_points: int = 32
-    sphere_points: int = 64
-    qmc_points: int = 2 ** 14
-
-
-def _sphere_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit directions and weights: zero mean and exact second moments."""
-    if d == 1:
-        return np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
-    if d == 2:
-        th = 2.0 * np.pi * np.arange(n) / n
-        dirs = np.column_stack([np.cos(th), np.sin(th)])
-        return dirs, np.full(n, 1.0 / n)
-    if d == 3:
-        # Gauss-Legendre bands in z (exact polar moments) x equal angles
-        # (exact azimuthal moments), band offsets decorrelated
-        nz = max(2, int(round(math.sqrt(n))))
-        nphi = max(3, n // nz)
-        z, wz = np.polynomial.legendre.leggauss(nz)
-        golden = (math.sqrt(5.0) - 1.0) / 2.0
-        dirs, w = [], []
-        for j in range(nz):
-            phi = 2.0 * np.pi * (np.arange(nphi) + (golden * j) % 1.0) / nphi
-            s = math.sqrt(max(0.0, 1.0 - z[j] * z[j]))
-            dirs.append(np.column_stack([s * np.cos(phi), s * np.sin(phi),
-                                         np.full(nphi, z[j])]))
-            w.append(np.full(nphi, wz[j] / (2.0 * nphi)))
-        return np.concatenate(dirs), np.concatenate(w)
-    raise PotentialError("product rule only for d <= 3")
-
-
-@lru_cache(maxsize=64)
-def _ball_rule(d: int, opts: QuadratureOpts) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-ball quadrature nodes and weights (weights sum to 1)."""
-    if d <= 3:
-        # midpoints of equal-volume radial shells: the r^{d-1} measure is
-        # handled by the volume substitution, not by weighting
-        m = opts.radial_points
-        radii = ((np.arange(m) + 0.5) / m) ** (1.0 / d)
-        wr = np.full(m, 1.0 / m)
-        dirs, wd = _sphere_rule(d, opts.sphere_points)
-        pts = radii[:, None, None] * dirs[None, :, :]
-        w = (wr[:, None] * wd[None, :]).reshape(-1)
-        return pts.reshape(-1, d), w
-    # d >= 4: Sobol points in the cube, rejected to the ball, mirrored.
-    from scipy.stats import qmc
-
-    sob = qmc.Sobol(d=d, scramble=False)
-    want = opts.qmc_points // 2
-    kept = []
-    total = 0
-    while total < want:
-        block = sob.random(4 * want) * 2.0 - 1.0
-        inside = block[np.einsum("ij,ij->i", block, block) <= 1.0]
-        kept.append(inside)
-        total += len(inside)
-    pts = np.concatenate(kept, axis=0)[:want]
-    pts = np.concatenate([pts, -pts], axis=0)
-    w = np.full(len(pts), 1.0 / len(pts))
-    return pts, w
-
-
+# Kernel values per chunk of _ball_deviation.  Chunks this small keep their
+# temporaries in cache and in memory the allocator reuses: `analyze` on an
+# N = 200 patch (three eps) peaks at 83 MiB and takes 0.30 s with chunks of
+# 2^14 values, 84 MiB and 0.39 s with 2^16, and 238 MiB and 0.63 s unchunked.
 _BALL_VALUES = 1 << 14
 
 
-def _ball_deviation_sums(fn, offset_sets, eps: float, d: int,
-                         quad: QuadratureOpts) -> list[float]:
-    """For each (M, d) array of offsets z, the sum over its rows of the scaled
-    ball-average deviation (2(d+2)/eps^2)(avg_{B_eps(z)} k - k(z)), k = fn(|.|).
+@lru_cache(maxsize=32)
+def _ball_rule(d: int, n_radial: int, n_axial: int) -> tuple[np.ndarray, ...]:
+    """Gauss product rule for the average over p uniform in the unit ball of
+    a function of |z + eps p|, for any z.
 
-    Offsets are taken in row blocks of at most _BALL_VALUES radii (8 rows of
-    the 2048-point rule in d = 2, 128 KiB).  Blocks this small keep the radii
-    and the kernel's temporaries in cache and in memory the allocator reuses
-    from block to block; larger ones are handed back to the system and
-    page-faulted in again on every block (one stationarity_check at N = 200:
-    1.4 s and 280 minor faults at 2^14 values, 2.8 s and 473,853 at 2^16).
-    The radii are summed one coordinate at a time in the order of
-    np.linalg.norm, so they are bitwise the norms of z + eps * p.
+    With R = |p| and T the cosine between p and z,
+    |z + eps p|^2 = (|z| + eps R T)^2 + eps^2 R^2 (1 - T^2), so the average is
+    a 2-D integral.  R has density d r^(d-1) on [0, 1] (Gauss-Jacobi nodes).
+    T has density proportional to (1 - t^2)^((d-3)/2) on [-1, 1]
+    (Gauss-Gegenbauer nodes) for d >= 2 and is +-1 with weight 1/2 for d = 1.
+    Returns the axial parts R T, the transverse parts R sqrt(1 - T^2) and the
+    weights, which sum to 1.
     """
-    pts, w = _ball_rule(d, quad)
-    step = eps * pts
-    rows = max(1, _BALL_VALUES // len(pts))
-    sums = []
-    for offsets in offset_sets:
-        avg = np.empty(len(offsets))
-        for i0 in range(0, len(offsets), rows):
-            z = offsets[i0:i0 + rows]
-            radii = z[:, 0, None] + step[:, 0]
-            radii *= radii
-            for k in range(1, d):
-                s = z[:, k, None] + step[:, k]
-                s *= s
-                radii += s
-            np.sqrt(radii, out=radii)
-            avg[i0:i0 + rows] = np.asarray(fn(radii), dtype=float) @ w
-        centre = np.asarray(fn(np.linalg.norm(offsets, axis=1)), dtype=float)
-        sums.append(float(np.sum(2.0 * (d + 2.0) / eps**2 * (avg - centre))))
-    return sums
+    x, w_radius = roots_jacobi(n_radial, 0.0, d - 1.0)
+    radius = (1.0 + x) / 2.0
+    if d == 1:
+        cosine, w_cosine = np.array([-1.0, 1.0]), np.array([1.0, 1.0])
+    else:
+        cosine, w_cosine = roots_jacobi(n_axial, (d - 3.0) / 2.0, (d - 3.0) / 2.0)
+    axial = np.outer(radius, cosine).ravel()
+    transverse = np.outer(radius, np.sqrt(1.0 - cosine**2)).ravel()
+    w = np.outer(w_radius / w_radius.sum(), w_cosine / w_cosine.sum()).ravel()
+    return axial, transverse, w
+
+
+def _ball_deviation(fn, r, eps: float, d: int, rule=_RULE) -> np.ndarray:
+    """f_eps(r) = (2(d+2)/eps^2)(avg_{B_eps(z)} k - k(z)) at |z| = r, with
+    k = fn(|.|), for an array of radii r (any shape).
+
+    The ball average is the Gauss rule of _ball_rule, evaluated in chunks of
+    at most _BALL_VALUES kernel values.  Each radius is reduced on its own
+    row, so its value does not depend on where the chunks fall.
+    """
+    axial, transverse, w = _ball_rule(d, *rule)
+    axial = eps * axial
+    transverse = (eps * transverse) ** 2
+    r = np.asarray(r, dtype=float)
+    flat = r.ravel()
+    avg = np.empty(len(flat))
+    step = max(1, _BALL_VALUES // len(w))
+    for i0 in range(0, len(flat), step):
+        radii = flat[i0:i0 + step, None] + axial
+        radii *= radii
+        radii += transverse
+        np.sqrt(radii, out=radii)
+        avg[i0:i0 + step] = (np.asarray(fn(radii), dtype=float) * w).sum(axis=1)
+    centre = np.asarray(fn(flat), dtype=float)
+    return (2.0 * (d + 2.0) / eps**2 * (avg - centre)).reshape(r.shape)
 
 
 def _as_radial_kernel(kernel) -> Callable[[np.ndarray], np.ndarray]:
@@ -383,41 +342,38 @@ def _as_radial_kernel(kernel) -> Callable[[np.ndarray], np.ndarray]:
     raise PotentialError("kernel must be a potential or a callable of the radius")
 
 
-def approximate_laplacian(kernel, x, eps: float,
-                          quad: QuadratureOpts = QuadratureOpts(),
-                          *, d: int | None = None,
+def approximate_laplacian(kernel, x, eps: float, *, d: int | None = None,
                           return_error: bool = False):
     """Scaled ball-average deviation (2(d+2)/eps^2)(avg_{B_eps(x)} k - k(x)).
 
     `kernel` is a radial evaluable: a potential spec or a callable mapping an
-    array of radii to values.  Returns +inf when a singular kernel origin lies
-    inside the averaging ball but not at x, and -inf when k(x) itself is +inf.
-    With return_error=True also returns a radial-refinement error estimate.
+    array of radii to values.  `x` must have shape (d,); d defaults to the
+    kernel's dimension, else to the length of x.  The ball average is a Gauss
+    rule in the radius and the axial cosine, exact for k(r) = r^(2m) with
+    m <= 7.  Returns +inf when a singular kernel origin lies inside the
+    averaging ball but not at x, and -inf when k(x) itself is +inf.  With
+    return_error=True also returns the difference from a coarser rule.
     """
     if eps <= 0:
         raise PotentialError("eps must be positive")
     x = np.asarray(x, dtype=float)
     if d is None:
-        d = getattr(kernel, "dimension", None)
-        if d is None:
-            d = x.shape[-1] if x.ndim else 1
-    x = x.reshape(d)
+        d = getattr(kernel, "dimension", x.size)
+    if x.shape != (d,):
+        raise PotentialError(f"x must have shape ({d},), got {x.shape}")
     fn = _as_radial_kernel(kernel)
-    rx = float(np.linalg.norm(x))
+    rx = np.array([np.linalg.norm(x)])
 
-    center_val = float(np.asarray(fn(np.array([rx]))).reshape(()))
+    center_val = float(np.asarray(fn(rx)).reshape(()))
     if math.isinf(center_val):
         return (-math.inf, 0.0) if return_error else -math.inf
-    if getattr(kernel, "singular_at_origin", False) and rx <= eps:
+    if getattr(kernel, "singular_at_origin", False) and rx[0] <= eps:
         return (math.inf, 0.0) if return_error else math.inf
 
-    value = _ball_deviation_sums(fn, [x[None, :]], eps, d, quad)[0]
+    value = float(_ball_deviation(fn, rx, eps, d)[0])
     if not return_error:
         return value
-    coarse = QuadratureOpts(radial_points=max(4, quad.radial_points // 2),
-                            sphere_points=quad.sphere_points,
-                            qmc_points=max(2 ** 10, quad.qmc_points // 2))
-    err = abs(value - _ball_deviation_sums(fn, [x[None, :]], eps, d, coarse)[0])
+    err = abs(value - float(_ball_deviation(fn, rx, eps, d, _COARSE_RULE)[0]))
     return value, err
 
 

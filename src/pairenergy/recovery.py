@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configuration import Configuration, discrete_energy
-from .measures import AtomicMeasure, GridDensity, MeasureError, density_to_atoms, \
+from .measures import AtomicMeasure, GridDensity, density_to_atoms, \
     continuum_energy_grid, wasserstein1
 from .potentials import PotentialSpec
 
@@ -151,33 +151,6 @@ def build_recovery(rho: GridDensity, N: int) -> RecoveryResult:
 def auxiliary_count_bound(N: int, d: int) -> float:
     """The construction's guarantee: N_e <= 4 d N^(1-1/(4d)) + N^(1/4)."""
     return 4.0 * d * N ** (1.0 - 1.0 / (4.0 * d)) + N ** 0.25
-
-
-def atoms_to_recovery_grid(mu: AtomicMeasure, L: float, N: int) -> GridDensity:
-    """Mass-exact binning of an atomic measure onto the aligned grid that
-    build_recovery expects for N particles: the smallest multiple of the cube
-    count with at least 64 cells per side in d = 1, 16 per side in d >= 2."""
-    from .measures import bin_atoms
-
-    d = mu.dim
-    n = _cube_count(N, d)
-    floor_cells = 64 if d == 1 else 16
-    g = max(((floor_cells + n - 1) // n) * n, n)
-    return bin_atoms(mu, [-L] * d, [L] * d, g)
-
-
-def truncate_to_box(rho_atoms: AtomicMeasure, L: float, resolution: int) -> GridDensity:
-    """Restrict an atomic measure to [-L, L)^d and renormalise (the compact
-    truncation step used to reduce noncompact inputs to this construction)."""
-    from .measures import bin_atoms
-
-    d = rho_atoms.dim
-    inside = np.all((rho_atoms.points >= -L) & (rho_atoms.points < L), axis=1)
-    if not np.any(inside):
-        raise MeasureError("no mass inside the truncation box")
-    w = rho_atoms.weights[inside]
-    mu = AtomicMeasure(rho_atoms.points[inside], w / w.sum())
-    return bin_atoms(mu, [-L] * d, [L] * d, resolution)
 
 
 @dataclass(frozen=True)

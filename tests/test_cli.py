@@ -228,13 +228,19 @@ RECOVER_1D = {"potential": {"kind": "power_law", "d": 1, "a": 2.0, "b": 1.0},
     ("analyze", {"potential": PL21_JSON, "configuration_file": "ragged.json"}, None),
     ("analyze", {"potential": PL21_JSON, "configuration_file": "text_point.csv"}, None),
     ("analyze", {"potential": PL21_JSON, "configuration_file": "ragged.csv"}, None),
+    ("classify", {"potential": MORSE_U_JSON, "scan": {"margin": "x"}}, None),
+    ("classify", {"potential": MORSE_U_JSON, "scan": {"scales": 5}}, None),
+    ("classify", {"potential": MORSE_U_JSON, "scan": {"resolution": "a"}}, None),
+    ("classify", {"potential": MORSE_U_JSON, "scan": {"scales": []}}, None),
+    ("classify", {"potential": MORSE_U_JSON, "scan": {"resolution": 0}}, None),
 ], ids=["float_n_starts", "string_refine_levels", "negative_morrey_exponent",
         "non_integer_workers_env", "string_seed", "string_box_L",
         "scalar_N_list_sweep", "scalar_N_list_recover", "empty_N_list",
         "grid_file_not_json", "integer_configuration_file", "list_configuration_file",
         "configuration_not_json", "configuration_text_point_json",
         "configuration_ragged_json", "configuration_text_point_csv",
-        "configuration_ragged_csv"])
+        "configuration_ragged_csv", "string_scan_margin", "scalar_scan_scales",
+        "string_scan_resolution", "empty_scan_scales", "zero_scan_resolution"])
 def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys,
                                          command, payload, env):
     # relative file names in a payload resolve against tmp_path

@@ -228,5 +228,3 @@ class TestBallMass:
         x = cfg.Configuration([[0.0], [1.0]])
         with pytest.raises(cfg.ConfigurationError):
             cfg.ball_mass(x, 2, 1.0)
-        q = cfg.ball_mass_query(x, 1, 2.0)
-        assert q.mass == 0.5 and q.index == 1

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from pairenergy import configuration as cfg
+from pairenergy import diagnostics as diag
 from pairenergy import potentials as pot
 
 PL21 = pot.PowerLaw(2, 2.0, 1.0)
@@ -171,9 +173,36 @@ class TestMetadata:
 
 class TestApproximateLaplacian:
     def test_quadratic_kernel_gives_dimension(self):
-        for d in (1, 2, 3):
+        for d in (1, 2, 3, 4):
             v = pot.approximate_laplacian(lambda r: r**2 / 2, np.zeros(d), 0.5, d=d)
-            assert v == pytest.approx(d, rel=5e-3)
+            assert v == pytest.approx(d, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_exact_on_even_polynomials(self, d):
+        # E|p|^2k = d/(d+2k) and E(z.p)^2 = |z|^2 E|p|^2/d for p uniform in
+        # the unit ball give, with s = 2(d+2)/eps^2,
+        #   s (avg |z+eps p|^2 - |z|^2) = 2d
+        #   s (avg |z+eps p|^4 - |z|^4) = 4(d+2)|z|^2 + 2d(d+2) eps^2/(d+4)
+        rng = np.random.default_rng(d)
+        u = rng.normal(size=d)
+        z = 1.3 * u / np.linalg.norm(u)
+        for eps in (0.05, 0.4, 2.0):
+            v2 = pot.approximate_laplacian(lambda r: r**2, z, eps)
+            v4 = pot.approximate_laplacian(lambda r: r**4, z, eps)
+            assert v2 == pytest.approx(2 * d, rel=1e-12)
+            want = 4 * (d + 2) * 1.3**2 + 2 * d * (d + 2) * eps**2 / (d + 4)
+            assert v4 == pytest.approx(want, rel=1e-12)
+
+    def test_eps_squared_convergence(self):
+        # lap W(r) = (a+d-2) r^(a-2) - (b+d-2) r^(b-2); the error of the
+        # ball average is c eps^2 + O(eps^4), so halving eps quarters it
+        r = 1.3
+        exact = 3.0 - 0.5 * r ** -2.5
+        x = r * np.array([0.6, 0.0, 0.8])
+        errors = [abs(pot.approximate_laplacian(PL3_SING, x, f * r) - exact)
+                  for f in (0.08, 0.04, 0.02, 0.01)]
+        ratios = [a / b for a, b in zip(errors, errors[1:])]
+        assert all(3.9 <= q <= 4.1 for q in ratios), ratios
 
     def test_constant_kernel_gives_zero(self):
         v = pot.approximate_laplacian(lambda r: np.full_like(r, 7.25),
@@ -198,14 +227,15 @@ class TestApproximateLaplacian:
         with pytest.raises(pot.PotentialError):
             pot.approximate_laplacian(PL21, [1.0, 0.0], 0.0)
 
+    @pytest.mark.parametrize("x", [[1.0, 0.0, 0.0], [1.0]], ids=["d3_point", "d1_point"])
+    def test_dimension_mismatch(self, x):
+        with pytest.raises(pot.PotentialError, match="shape"):
+            pot.approximate_laplacian(PL21, x, 0.1)
+
     def test_singular_conventions(self):
         spec = pot.PowerLaw(3, 2.0, -0.5)
         assert pot.approximate_laplacian(spec, [0.0, 0.0, 0.0], 0.1) == -math.inf
         assert pot.approximate_laplacian(spec, [0.05, 0.0, 0.0], 0.1) == math.inf
-
-    def test_qmc_path_d4(self):
-        v = pot.approximate_laplacian(lambda r: r**2 / 2, np.zeros(4), 0.5, d=4)
-        assert v == pytest.approx(4, rel=5e-3)
 
     def test_beta_repulsivity_bound(self):
         # -lap^eps W >= 0.9 C |x|^{-beta} with C = d - beta near the origin
@@ -221,36 +251,27 @@ class TestApproximateLaplacian:
             assert -v >= 0.9 * c * r ** (-beta)
 
 
-def unblocked_ball_terms(fn, z, eps, d):
-    """Per-row scaled ball deviations with all radii of a set built at once
-    by np.linalg.norm over the (M, P, d) cube of shifted rule points."""
-    pts, w = pot._ball_rule(d, pot.QuadratureOpts())
-    radii = np.linalg.norm(z[:, None, :] + eps * pts[None, :, :], axis=2)
-    centre = fn(np.linalg.norm(z, axis=1))
-    return 2.0 * (d + 2.0) / eps**2 * (fn(radii) @ w - centre)
-
-
 class TestBallDeviationSums:
     @pytest.mark.parametrize("one_row", [False, True], ids=["budget", "one_row"])
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_matches_unblocked_norms(self, monkeypatch, d, one_row):
-        # d = 4 is the quasi-Monte Carlo rule; set sizes straddle the block rows
+        # stationarity_check evaluates its N*N radii in chunks; it must equal
+        # the pair-by-pair approximate_laplacian sum.  The chunk budgets put
+        # the N*N radii just below, at and just above one and two chunks.
         spec = pot.Morse(d, 1.0, 0.5, 1.0, 1.0)
-        rows = max(1, pot._BALL_VALUES // len(pot._ball_rule(d, pot.QuadratureOpts())[0]))
-        if one_row:
-            monkeypatch.setattr(pot, "_BALL_VALUES", 1)
+        n = 6
+        nodes = len(pot._ball_rule(d, *pot._RULE)[2])
+        chunks = [1] if one_row else [n * n + 1, n * n, n * n - 1,
+                                      n * n // 2 + 1, n * n // 2, n * n // 2 - 1]
         rng = np.random.default_rng(d)
-        sets = []
-        for m in (1, rows - 1, rows, rows + 1, 2 * rows + 1):
-            u = rng.normal(size=(m, d))
-            sets.append(u / np.linalg.norm(u, axis=1, keepdims=True)
-                        * rng.uniform(1.0, 2.0, size=(m, 1)))
-        eps = 1e-2   # about 1e-2 |z|: below that the two differ by cancellation
-        sums = pot._ball_deviation_sums(spec.radial, sets, eps, d, pot.QuadratureOpts())
-        assert len(sums) == len(sets)
-        for z, value in zip(sets, sums):
-            terms = unblocked_ball_terms(spec.radial, z, eps, d)
-            assert abs(value - terms.sum()) <= 1e-9 * np.abs(terms).sum()
+        x = cfg.Configuration(rng.uniform(-1.0, 1.0, size=(n, d)))
+        eps = 0.1 * cfg.min_pair_distance(x)
+        direct = [sum(pot.approximate_laplacian(spec, x.points[i] - x.points[j], eps)
+                      for i in range(n) if i != j) for j in range(n)]
+        for chunk in chunks:
+            monkeypatch.setattr(pot, "_BALL_VALUES", chunk * nodes)
+            res = diag.stationarity_check(spec, x, eps)
+            assert list(res.values) == pytest.approx(direct, rel=1e-12)
 
 
 class TestStability:

@@ -130,37 +130,3 @@ class TestConvergenceReport:
             values.append(diag.empirical_morrey_seminorm(r.config, 1.0).value)
         # bounded by an N-independent constant (observed plateau ~1.5)
         assert max(values) <= 2.5
-
-
-class TestAtomsInput:
-    def test_atoms_bin_to_aligned_grid(self):
-        rng = np.random.default_rng(44)
-        pts = rng.uniform(-0.99, 0.99, size=(300, 1))
-        mu = mea.AtomicMeasure(pts, np.full(300, 1.0 / 300))
-        rho = rec.atoms_to_recovery_grid(mu, 1.0, 256)   # n = 4
-        assert rho.resolution % 4 == 0 and rho.resolution >= 64
-        built = rec.build_recovery(rho, 256)
-        assert built.N_p + built.N_e == 256
-
-    def test_atoms_grid_d2_floor(self):
-        rng = np.random.default_rng(45)
-        pts = rng.uniform(-0.9, 0.9, size=(50, 2))
-        mu = mea.AtomicMeasure(pts, np.full(50, 1.0 / 50))
-        rho = rec.atoms_to_recovery_grid(mu, 1.0, 300)   # n = 2
-        assert rho.resolution % 2 == 0 and rho.resolution >= 16
-        rec.build_recovery(rho, 300)
-
-
-class TestTruncation:
-    def test_truncate_to_box(self):
-        rng = np.random.default_rng(43)
-        pts = rng.normal(size=(200, 1)) * 2.0
-        mu = mea.AtomicMeasure(pts, np.full(200, 1.0 / 200))
-        rho = rec.truncate_to_box(mu, 1.5, 32)
-        assert rho.masses.sum() == pytest.approx(1.0, abs=1e-12)
-        assert rho.resolution == 32
-
-    def test_truncate_empty_errors(self):
-        mu = mea.AtomicMeasure([[10.0]], [1.0])
-        with pytest.raises(mea.MeasureError):
-            rec.truncate_to_box(mu, 1.0, 8)
