@@ -29,7 +29,6 @@ from .measures import (
     AtomicMeasure,
     GridDensity,
     MeasureError,
-    bin_atoms,
     continuum_energy_atoms,
     continuum_energy_grid,
     density_to_atoms,

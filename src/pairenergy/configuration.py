@@ -50,9 +50,6 @@ class Configuration:
     def __repr__(self):
         return f"Configuration(N={self.n}, d={self.dim})"
 
-    def translated(self, shift) -> "Configuration":
-        return Configuration(self.points + np.asarray(shift, dtype=float))
-
     # -- serialisation ------------------------------------------------------
 
     def to_json(self) -> dict:

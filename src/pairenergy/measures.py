@@ -10,7 +10,6 @@ integrable |x|^b singularities of the supported potentials.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -77,24 +76,6 @@ class AtomicMeasure:
     def empirical(cls, X: Configuration) -> "AtomicMeasure":
         """The empirical measure of a configuration: weight 1/N per point."""
         return cls(X.points, np.full(X.n, 1.0 / X.n))
-
-    def save_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            for p, wt in zip(self.points, self.weights):
-                w.writerow([f"{v:.17g}" for v in p] + [f"{wt:.17g}"])
-
-    @classmethod
-    def load_csv(cls, path) -> "AtomicMeasure":
-        pts, wts = [], []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row:
-                    continue
-                vals = [float(v) for v in row]
-                pts.append(vals[:-1])
-                wts.append(vals[-1])
-        return cls(np.array(pts), np.array(wts))
 
 
 class GridDensity:
@@ -201,22 +182,6 @@ def density_to_atoms(rho: GridDensity) -> AtomicMeasure:
     c = rho.cell_centres()
     keep = rho.masses > 0
     return AtomicMeasure(c[keep], rho.masses[keep])
-
-
-def bin_atoms(mu: AtomicMeasure, lo, hi, resolution: int) -> GridDensity:
-    """Mass-exact binning of an atomic measure onto a grid over [lo, hi)."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    g = int(resolution)
-    d = mu.dim
-    width = (hi - lo) / g
-    idx = np.floor((mu.points - lo) / width).astype(int)
-    if np.any(idx < 0) or np.any(idx >= g):
-        raise MeasureError("atom outside the binning box [lo, hi)")
-    flat = np.zeros(g ** d)
-    lin = np.ravel_multi_index(tuple(idx.T), (g,) * d)
-    np.add.at(flat, lin, mu.weights)
-    return GridDensity(lo, hi, g, flat)
 
 
 def regrid(rho: GridDensity, multiple_of: int) -> GridDensity:
@@ -426,16 +391,13 @@ def _quantise(mu: AtomicMeasure, max_atoms: int) -> AtomicMeasure:
 def _w1_lp(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     n, m = mu.n_atoms, nu.n_atoms
     cost = pairs.differences(mu.points, nu.points)[1].reshape(-1)
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        rows.extend([i] * m)
-        cols.extend(range(i * m, (i + 1) * m))
-        vals.extend([1.0] * m)
-    for j in range(m - 1):  # last column constraint is redundant
-        rows.extend([n + j] * n)
-        cols.extend(j + m * np.arange(n))
-        vals.extend([1.0] * n)
-    a_eq = coo_matrix((vals, (rows, cols)), shape=(n + m - 1, n * m))
+    # variable i*m + j carries plan entry (i, j): it sits in source row i and
+    # in target row n + j, except for j = m - 1, whose constraint is redundant
+    var = np.arange(n * m)
+    target = var[var % m < m - 1]
+    rows = np.concatenate([var // m, n + target % m])
+    cols = np.concatenate([var, target])
+    a_eq = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + m - 1, n * m))
     b_eq = np.concatenate([mu.weights, nu.weights[:-1]])
     res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:

@@ -123,23 +123,39 @@ class Morse:
 PotentialSpec = Union[PowerLaw, Morse]
 
 
+# JSON kind -> (spec class, JSON names of its parameters after the dimension)
+_JSON_KINDS = {"power_law": (PowerLaw, ("a", "b")),
+               "morse": (Morse, ("Cr", "lr", "Ca", "la"))}
+
+
 def potential_from_json(obj: dict) -> PotentialSpec:
-    """Build a potential from its JSON object form."""
+    """Build a potential from its JSON object form.
+
+    `d` must be an integer >= 1 and every parameter a number; a bool is
+    neither.
+    """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise PotentialError("potential JSON must be an object with a 'kind' key")
     kind = obj["kind"]
-    if kind == "power_law":
-        keys = {"kind", "d", "a", "b"}
-        if set(obj) != keys:
-            raise PotentialError(f"power_law potential expects keys {sorted(keys)}")
-        return PowerLaw(dimension=int(obj["d"]), a=float(obj["a"]), b=float(obj["b"]))
-    if kind == "morse":
-        keys = {"kind", "d", "Cr", "lr", "Ca", "la"}
-        if set(obj) != keys:
-            raise PotentialError(f"morse potential expects keys {sorted(keys)}")
-        return Morse(dimension=int(obj["d"]), C_r=float(obj["Cr"]), l_r=float(obj["lr"]),
-                     C_a=float(obj["Ca"]), l_a=float(obj["la"]))
-    raise PotentialError(f"unknown potential kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _JSON_KINDS:
+        raise PotentialError(f"unknown potential kind {kind!r}")
+    cls, names = _JSON_KINDS[kind]
+    keys = {"kind", "d", *names}
+    if set(obj) != keys:
+        raise PotentialError(f"{kind} potential expects keys {sorted(keys)}")
+    d = obj["d"]
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise PotentialError(f"d must be an integer >= 1, got {d!r}")
+    params = []
+    for name in names:
+        v = obj[name]
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise PotentialError(f"{name} must be a number, got {v!r}")
+        try:
+            params.append(float(v))
+        except OverflowError:
+            raise PotentialError(f"{name} is out of the float range") from None
+    return cls(d, *params)
 
 
 # --------------------------------------------------------------------------
@@ -175,87 +191,49 @@ def gradient(spec: PotentialSpec, x) -> np.ndarray:
 class PotentialMetadata:
     """Derived constants of a potential.
 
-    W_min        global lower bound (attained value)
+    W_min        global lower bound: the minimum of W where it is attained,
+                 else its infimum, never above 0
     W_inf        limit at infinity (may be +inf)
     R_W          radius beyond which W is radially strictly increasing
+                 (+inf when no such radius exists)
     beta         repulsivity exponent (power-law with b < 0 only), else None
-    C_W          working upper-bound constant for the singular hypotheses, else None
-    delta_rep    repulsivity radius convention (singular case only), else None
-    singular_at_origin
+
+    Whether W is singular at the origin is the spec's `singular_at_origin`.
     """
 
     W_min: float
     W_inf: float
     R_W: float
     beta: float | None
-    C_W: float | None
-    delta_rep: float | None
-    singular_at_origin: bool
-
-
-_MORSE_SCAN_SAMPLES = 4096
-_MORSE_SCAN_SPAN = 50.0
-_MORSE_REFINE_TOL = 1e-10
-
-
-def _bisect_root(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    flo = fn(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return mid
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0) == (fm < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _morse_metadata(spec: Morse) -> PotentialMetadata:
-    # Dense radial scan + bisection refinement; the radial problem is cheap.
-    span = _MORSE_SCAN_SPAN * max(spec.l_r, spec.l_a)
-    rs = np.linspace(0.0, span, _MORSE_SCAN_SAMPLES)
-    dW = spec.radial_derivative(rs)
-    n = len(rs)
-
-    neg = np.nonzero(dW < 0)[0]
-    if len(neg) == 0:
-        r_w = 0.0
-    elif neg[-1] == n - 1:
-        # still decreasing at the far end of the scan (l_r > l_a regime):
-        # no radius of eventual strict increase exists
-        r_w = math.inf
+    # e^{r/l_a} W'(r) = C_a/l_a - (C_r/l_r) e^{-r (1/l_r - 1/l_a)} is monotone
+    # in r, so W' changes sign at most once, at
+    # r* = ln(C_r l_a / (C_a l_r)) / (1/l_r - 1/l_a) when l_r < l_a.
+    c_r, l_r = float(spec.C_r), float(spec.l_r)
+    c_a, l_a = float(spec.C_a), float(spec.l_a)
+    if l_r < l_a:
+        # W' < 0 below r* and > 0 above it: the minimum is at R_W.  The log
+        # and the rate 1/l_r - 1/l_a are formed from the differences
+        # C_r - C_a and l_a - l_r, which keeps R_W accurate when l_a is
+        # within a few ulps of l_r.
+        log_ratio = math.log1p((c_r - c_a) / c_a) + math.log1p((l_a - l_r) / l_r)
+        r_w = max(0.0, log_ratio / ((l_a - l_r) / (l_r * l_a)))
+        w_min = float(spec.radial(r_w))
     else:
-        k = int(neg[-1])
-        r_w = _bisect_root(lambda r: float(spec.radial_derivative(r)),
-                           float(rs[k]), float(rs[k + 1]), _MORSE_REFINE_TOL)
-
-    vals = spec.radial(rs)
-    i0 = int(np.argmin(vals))
-    w_min = float(vals[i0])
-    if 0 < i0 < n - 1 and dW[i0 - 1] < 0 <= dW[i0 + 1]:
-        r_min = _bisect_root(lambda r: float(spec.radial_derivative(r)),
-                             float(rs[i0 - 1]), float(rs[i0 + 1]), _MORSE_REFINE_TOL)
-        w_min = min(w_min, float(spec.radial(r_min)))
+        # W' is eventually negative (l_r > l_a), or W = (C_r - C_a) e^{-r/l};
+        # either way the infimum is W(0) or the limit 0 at infinity
+        r_w = math.inf if l_r > l_a or c_r > c_a else 0.0
+        w_min = c_r - c_a
     w_min = min(w_min, 0.0)  # W -> 0 at infinity; the infimum is never above it
-    return PotentialMetadata(W_min=w_min, W_inf=0.0, R_W=r_w, beta=None,
-                             C_W=None, delta_rep=None, singular_at_origin=False)
+    return PotentialMetadata(W_min=w_min, W_inf=0.0, R_W=r_w, beta=None)
 
 
 def _power_law_metadata(spec: PowerLaw) -> PotentialMetadata:
     w_min = 1.0 / spec.a - 1.0 / spec.b  # attained at |x| = 1
-    if spec.b < 0:
-        beta = 2.0 - spec.b
-        c_w = max(spec.dimension - 2.0 + beta, 1.0 / abs(spec.b), 1.0)
-        delta = 1.0
-    else:
-        beta = c_w = delta = None
-    return PotentialMetadata(W_min=w_min, W_inf=math.inf, R_W=1.0, beta=beta,
-                             C_W=c_w, delta_rep=delta,
-                             singular_at_origin=spec.singular_at_origin)
+    beta = 2.0 - spec.b if spec.b < 0 else None
+    return PotentialMetadata(W_min=w_min, W_inf=math.inf, R_W=1.0, beta=beta)
 
 
 @lru_cache(maxsize=256)
@@ -272,10 +250,8 @@ def metadata(spec: PotentialSpec) -> PotentialMetadata:
 # Ball averages and the approximate Laplacian
 # --------------------------------------------------------------------------
 
-# Node counts (radius, axial cosine) of the ball-average rule, and of the
-# coarser rule behind approximate_laplacian's error estimate.
+# Node counts (radius, axial cosine) of the ball-average rule.
 _RULE = (8, 16)
-_COARSE_RULE = (4, 8)
 
 # Kernel values per chunk of _ball_deviation.  Chunks this small keep their
 # temporaries in cache and in memory the allocator reuses: `analyze` on an
@@ -309,7 +285,7 @@ def _ball_rule(d: int, n_radial: int, n_axial: int) -> tuple[np.ndarray, ...]:
     return axial, transverse, w
 
 
-def _ball_deviation(fn, r, eps: float, d: int, rule=_RULE) -> np.ndarray:
+def _ball_deviation(fn, r, eps: float, d: int) -> np.ndarray:
     """f_eps(r) = (2(d+2)/eps^2)(avg_{B_eps(z)} k - k(z)) at |z| = r, with
     k = fn(|.|), for an array of radii r (any shape).
 
@@ -317,7 +293,7 @@ def _ball_deviation(fn, r, eps: float, d: int, rule=_RULE) -> np.ndarray:
     at most _BALL_VALUES kernel values.  Each radius is reduced on its own
     row, so its value does not depend on where the chunks fall.
     """
-    axial, transverse, w = _ball_rule(d, *rule)
+    axial, transverse, w = _ball_rule(d, *_RULE)
     axial = eps * axial
     transverse = (eps * transverse) ** 2
     r = np.asarray(r, dtype=float)
@@ -342,8 +318,7 @@ def _as_radial_kernel(kernel) -> Callable[[np.ndarray], np.ndarray]:
     raise PotentialError("kernel must be a potential or a callable of the radius")
 
 
-def approximate_laplacian(kernel, x, eps: float, *, d: int | None = None,
-                          return_error: bool = False):
+def approximate_laplacian(kernel, x, eps: float, *, d: int | None = None) -> float:
     """Scaled ball-average deviation (2(d+2)/eps^2)(avg_{B_eps(x)} k - k(x)).
 
     `kernel` is a radial evaluable: a potential spec or a callable mapping an
@@ -351,8 +326,7 @@ def approximate_laplacian(kernel, x, eps: float, *, d: int | None = None,
     kernel's dimension, else to the length of x.  The ball average is a Gauss
     rule in the radius and the axial cosine, exact for k(r) = r^(2m) with
     m <= 7.  Returns +inf when a singular kernel origin lies inside the
-    averaging ball but not at x, and -inf when k(x) itself is +inf.  With
-    return_error=True also returns the difference from a coarser rule.
+    averaging ball but not at x, and -inf when k(x) itself is +inf.
     """
     if eps <= 0:
         raise PotentialError("eps must be positive")
@@ -366,15 +340,10 @@ def approximate_laplacian(kernel, x, eps: float, *, d: int | None = None,
 
     center_val = float(np.asarray(fn(rx)).reshape(()))
     if math.isinf(center_val):
-        return (-math.inf, 0.0) if return_error else -math.inf
+        return -math.inf
     if getattr(kernel, "singular_at_origin", False) and rx[0] <= eps:
-        return (math.inf, 0.0) if return_error else math.inf
-
-    value = float(_ball_deviation(fn, rx, eps, d)[0])
-    if not return_error:
-        return value
-    err = abs(value - float(_ball_deviation(fn, rx, eps, d, _COARSE_RULE)[0]))
-    return value, err
+        return math.inf
+    return float(_ball_deviation(fn, rx, eps, d)[0])
 
 
 # --------------------------------------------------------------------------
@@ -429,22 +398,19 @@ class InstabilityCertificate:
 
 
 def numeric_instability_scan(spec: PotentialSpec, scales,
-                             *, family: str = "uniform_ball",
-                             resolution: int | None = None,
-                             tolerance: float = 1e-6,
-                             refine_levels: int = 3) -> InstabilityCertificate:
+                             *, resolution: int | None = None,
+                             tolerance: float = 1e-6) -> InstabilityCertificate:
     """Search for a measure certifying instability: E(rho_t) < W_inf/2 - margin.
 
-    The family is the uniform probability on the ball of radius t for t in
-    `scales`, carried on a grid and integrated by the deterministic grid
-    quadrature.  The margin is `tolerance` plus a grid-refinement error
-    estimate at the best scale.  A False result is a non-certificate, not a
-    stability proof.
+    The candidates are the uniform probabilities on the balls of radius t for
+    t in `scales`, carried on a grid of `resolution` cells per side (default
+    by dimension) and integrated by continuum_energy_grid with its default
+    refinement.  The margin is `tolerance` plus the change in energy at the
+    best scale when the grid is halved.  A False result is a non-certificate,
+    not a stability proof.
     """
     from . import measures
 
-    if family != "uniform_ball":
-        raise PotentialError(f"unknown scale family {family!r}")
     scales = [float(t) for t in scales]
     md = metadata(spec)
     if math.isinf(md.W_inf) and not scales:
@@ -459,8 +425,7 @@ def numeric_instability_scan(spec: PotentialSpec, scales,
     energies = []
     for t in scales:
         rho = measures.uniform_ball(d, t, resolution)
-        energies.append(measures.continuum_energy_grid(spec, rho,
-                                                       refine_levels=refine_levels))
+        energies.append(measures.continuum_energy_grid(spec, rho))
     best_idx = int(np.argmin(energies))
     best_scale, best_energy = scales[best_idx], energies[best_idx]
 
@@ -471,7 +436,7 @@ def numeric_instability_scan(spec: PotentialSpec, scales,
                                       math.inf, tolerance, tuple(energies))
 
     rho = measures.uniform_ball(d, best_scale, max(4, resolution // 2))
-    coarse = measures.continuum_energy_grid(spec, rho, refine_levels=refine_levels)
+    coarse = measures.continuum_energy_grid(spec, rho)
     margin = tolerance + abs(best_energy - coarse)
     threshold = 0.5 * md.W_inf - margin
     return InstabilityCertificate(best_energy < threshold, best_scale, best_energy,

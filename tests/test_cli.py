@@ -30,7 +30,7 @@ class TestClassify:
                            {"potential": MORSE_U_JSON,
                             "scan": {"resolution": 24}})
         assert run("classify", cfg, tmp_path / "out") == 0
-        payload = json.load(open(tmp_path / "out" / "classify.json"))
+        payload = json.loads((tmp_path / "out" / "classify.json").read_text())
         assert payload["class"] == "unstable"
         assert payload["certificate"]["found"]
 
@@ -39,14 +39,14 @@ class TestClassify:
                            {"potential": MORSE_S_JSON,
                             "scan": {"resolution": 24}})
         assert run("classify", cfg, tmp_path / "out") == 0
-        payload = json.load(open(tmp_path / "out" / "classify.json"))
+        payload = json.loads((tmp_path / "out" / "classify.json").read_text())
         assert payload["class"] == "strictly_stable"
         assert not payload["certificate"]["found"]
 
     def test_power_law_unstable(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"potential": PL21_JSON})
         assert run("classify", cfg, tmp_path / "out") == 0
-        payload = json.load(open(tmp_path / "out" / "classify.json"))
+        payload = json.loads((tmp_path / "out" / "classify.json").read_text())
         assert payload["class"] == "unstable"
 
 
@@ -56,7 +56,7 @@ class TestMinimize:
                            {"potential": PL21_JSON, "N": 2,
                             "optim": CHEAP_OPTIM, "seed": 3})
         assert run("minimize", cfg, tmp_path / "out") == 0
-        res = json.load(open(tmp_path / "out" / "minimize.json"))
+        res = json.loads((tmp_path / "out" / "minimize.json").read_text())
         assert res["energy"] == pytest.approx(-0.125, abs=1e-9)
         assert (tmp_path / "out" / "diagnostics.json").exists()
 
@@ -65,7 +65,7 @@ class TestMinimize:
                            {"potential": PL21_JSON, "N": 3,
                             "optim": CHEAP_OPTIM, "seed": 3})
         assert run("minimize", cfg, tmp_path / "out") == 0
-        res = json.load(open(tmp_path / "out" / "minimize.json"))
+        res = json.loads((tmp_path / "out" / "minimize.json").read_text())
         assert res["energy"] == pytest.approx(-1.0 / 6.0, abs=1e-6)
 
     def test_invalid_potential_schema_error(self, tmp_path, capsys):
@@ -84,13 +84,13 @@ class TestMinimize:
                            {"potential": PL21_JSON, "N": 2,
                             "optim": CHEAP_OPTIM, "seed": 3})
         run("minimize", cfg, tmp_path / "out")
-        record = json.load(open(tmp_path / "out" / "run_record.json"))
-        stored = json.load(open(tmp_path / "out" / "config.json"))
+        record = json.loads((tmp_path / "out" / "run_record.json").read_text())
+        stored = json.loads((tmp_path / "out" / "config.json").read_text())
         assert record["config_hash"] == cli._config_hash(stored)
         assert record["tool_version"]
         assert "minimize" in record["phase_wall_times"]
         assert record["results"]["stop_reason"] == "converged"
-        result = json.load(open(tmp_path / "out" / "minimize.json"))
+        result = json.loads((tmp_path / "out" / "minimize.json").read_text())
         assert "stop_reason" not in result and result["converged"]
 
 
@@ -159,7 +159,7 @@ class TestAnalyze:
                            {"potential": PL21_JSON,
                             "configuration_file": str(tmp_path / "x.json")})
         assert run("analyze", cfg, tmp_path / "out") == 0
-        report = json.load(open(tmp_path / "out" / "analysis.json"))
+        report = json.loads((tmp_path / "out" / "analysis.json").read_text())
         assert report["el_spread_pairs"] == 0.0
         assert report["el_spread_energy"] == 0.0
         assert report["energy"] == pytest.approx(-0.125)
@@ -173,7 +173,7 @@ class TestAnalyze:
                            {"potential": MORSE_U_JSON,
                             "configuration_file": str(tmp_path / "x.csv")})
         assert run("analyze", cfg, tmp_path / "out") == 0
-        report = json.load(open(tmp_path / "out" / "analysis.json"))
+        report = json.loads((tmp_path / "out" / "analysis.json").read_text())
         stat_min = min(v for _, v in report["stationarity"])
         if stat_min < 0:
             assert any("minimiser" in note for note in report["notes"])
@@ -192,7 +192,7 @@ class TestWorkersEnv:
                            {"potential": PL21_JSON, "N": 2,
                             "optim": CHEAP_OPTIM, "seed": 3})
         assert run("minimize", cfg, tmp_path / "out", "--workers", "1") == 0
-        record = json.load(open(tmp_path / "out" / "run_record.json"))
+        record = json.loads((tmp_path / "out" / "run_record.json").read_text())
         assert record["workers"] == 2 and record["workers_from_env"]
 
     def test_seed_flag_overrides_config(self, tmp_path):
@@ -200,7 +200,7 @@ class TestWorkersEnv:
                            {"potential": PL21_JSON, "N": 2,
                             "optim": CHEAP_OPTIM, "seed": 3})
         run("minimize", cfg, tmp_path / "out", "--seed", "99")
-        record = json.load(open(tmp_path / "out" / "run_record.json"))
+        record = json.loads((tmp_path / "out" / "run_record.json").read_text())
         assert record["seed"] == 99
 
 
@@ -233,6 +233,13 @@ RECOVER_1D = {"potential": {"kind": "power_law", "d": 1, "a": 2.0, "b": 1.0},
     ("classify", {"potential": MORSE_U_JSON, "scan": {"resolution": "a"}}, None),
     ("classify", {"potential": MORSE_U_JSON, "scan": {"scales": []}}, None),
     ("classify", {"potential": MORSE_U_JSON, "scan": {"resolution": 0}}, None),
+    ("classify", {"potential": dict(PL21_JSON, d="x")}, None),
+    ("classify", {"potential": dict(PL21_JSON, a="x")}, None),
+    ("classify", {"potential": dict(MORSE_U_JSON, la="q")}, None),
+    ("classify", {"potential": dict(PL21_JSON, a=None)}, None),
+    ("classify", {"potential": dict(PL21_JSON, d=2.7)}, None),
+    ("classify", {"potential": dict(PL21_JSON, d=True)}, None),
+    ("classify", {"potential": dict(PL21_JSON, a=10**400)}, None),
 ], ids=["float_n_starts", "string_refine_levels", "negative_morrey_exponent",
         "non_integer_workers_env", "string_seed", "string_box_L",
         "scalar_N_list_sweep", "scalar_N_list_recover", "empty_N_list",
@@ -240,7 +247,10 @@ RECOVER_1D = {"potential": {"kind": "power_law", "d": 1, "a": 2.0, "b": 1.0},
         "configuration_not_json", "configuration_text_point_json",
         "configuration_ragged_json", "configuration_text_point_csv",
         "configuration_ragged_csv", "string_scan_margin", "scalar_scan_scales",
-        "string_scan_resolution", "empty_scan_scales", "zero_scan_resolution"])
+        "string_scan_resolution", "empty_scan_scales", "zero_scan_resolution",
+        "string_potential_d", "string_potential_a", "string_morse_la",
+        "null_potential_a", "float_potential_d", "bool_potential_d",
+        "overflowing_potential_a"])
 def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys,
                                          command, payload, env):
     # relative file names in a payload resolve against tmp_path

@@ -75,14 +75,6 @@ class TestCarriers:
         with pytest.raises(mea.MeasureError):
             mea.GridDensity.load(tmp_path / "g.json")
 
-    def test_atoms_csv_round_trip(self, tmp_path):
-        mu = mea.AtomicMeasure([[0.0, 1.0], [2.0, -1.0]], [0.25, 0.75])
-        p = tmp_path / "mu.csv"
-        mu.save_csv(p)
-        back = mea.AtomicMeasure.load_csv(p)
-        assert np.array_equal(back.points, mu.points)
-        assert np.array_equal(back.weights, mu.weights)
-
 
 class TestContinuumEnergyAtoms:
     def test_single_atom_zero_depth_morse(self):
@@ -323,19 +315,6 @@ class TestConversions:
         g[1] = 1.0
         single = mea.density_to_atoms(mea.GridDensity([-1.0], [1.0], 4, g))
         assert single.n_atoms == 1
-
-    def test_bin_atoms_mass_exact(self):
-        rng = np.random.default_rng(24)
-        mu = random_atoms(rng, 40, 2)
-        pts = np.clip(mu.points, -3.999, 3.999)
-        mu = mea.AtomicMeasure(pts, mu.weights)
-        rho = mea.bin_atoms(mu, [-4.0, -4.0], [4.0, 4.0], 8)
-        assert rho.masses.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_bin_atoms_outside_box_errors(self):
-        mu = mea.AtomicMeasure([[5.0]], [1.0])
-        with pytest.raises(mea.MeasureError):
-            mea.bin_atoms(mu, [-1.0], [1.0], 4)
 
     def test_regrid_uniform_stays_uniform(self):
         rho = mea.uniform_box(1, 1.0, 64)

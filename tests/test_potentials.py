@@ -1,7 +1,10 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairenergy import configuration as cfg
 from pairenergy import diagnostics as diag
@@ -138,25 +141,23 @@ class TestMetadata:
         assert md.W_min == pytest.approx(1 / 2.0 - 1 / 1.0)
         assert md.W_inf == math.inf
         assert md.R_W == 1.0
-        assert md.beta is None and not md.singular_at_origin
+        assert md.beta is None and not PL21.singular_at_origin
 
     def test_power_law_singular(self):
         md = pot.metadata(PL3_SING)
-        assert md.singular_at_origin
+        assert PL3_SING.singular_at_origin
         assert md.beta == pytest.approx(2.5)
-        assert md.delta_rep == 1.0
-        assert md.C_W >= 1.0
 
     def test_morse_unstable(self):
         md = pot.metadata(MORSE_U)
         # W' = e^{-r}(e^{-r} * -2 + 1): zero at r = ln 2
-        assert md.R_W == pytest.approx(math.log(2), abs=1e-9)
+        assert md.R_W == pytest.approx(math.log(2), rel=1e-15)
         assert md.W_min == pytest.approx(-0.25, abs=1e-12)
         assert md.W_inf == 0.0
 
     def test_morse_stable(self):
         md = pot.metadata(MORSE_S)
-        assert md.R_W == pytest.approx(math.log(10), abs=1e-9)
+        assert md.R_W == pytest.approx(math.log(10), rel=1e-15)
         assert md.W_min == pytest.approx(-0.05, abs=1e-12)
 
     def test_morse_monotone_from_origin(self):
@@ -169,6 +170,51 @@ class TestMetadata:
         # l_r > l_a: W decreases to 0 from above at infinity
         md = pot.metadata(pot.Morse(2, 1.0, 2.0, 1.0, 1.0))
         assert md.R_W == math.inf
+
+    def test_morse_close_lengths(self):
+        # l_a = 1.01 l_r puts the turning point at
+        # ln(2.02) / (1 - 1/1.01) = 71.0128..., 70 times the length scales
+        md = pot.metadata(pot.Morse(2, 2.0, 1.0, 1.0, 1.01))
+        assert md.R_W == pytest.approx(71.01284865272439, rel=1e-12)
+        assert md.W_min < 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(c_r=st.floats(0.1, 10.0), c_a=st.floats(0.1, 10.0),
+           l_r=st.floats(0.1, 5.0), l_a=st.one_of(st.none(), st.floats(0.1, 5.0)))
+    def test_morse_constants_match_derivative_sign(self, c_r, c_a, l_r, l_a):
+        # l_a = None draws the tie l_a = l_r.  The sign of
+        # e^{r/l_a} W'(r) = C_a/l_a - (C_r/l_r) e^{-r (1/l_r - 1/l_a)} is taken
+        # in 50-digit decimal arithmetic, away from a band that covers the
+        # rounding of R_W.
+        l_a = l_r if l_a is None else l_a
+        spec = pot.Morse(2, c_r, l_r, c_a, l_a)
+        md = pot.metadata(spec)
+        assert (md.R_W == math.inf) == (l_r > l_a or (l_r == l_a and c_r > c_a))
+        if l_r == l_a and c_r == c_a:  # W = 0, which keeps R_W = 0
+            assert (md.R_W, md.W_min) == (0.0, 0.0)
+            return
+
+        def scaled_slope_sign(r):
+            with localcontext() as ctx:
+                ctx.prec = 50
+                cr, lr, ca, la = map(Decimal, (c_r, l_r, c_a, l_a))
+                v = ca / la - cr / lr * (-Decimal(r) * (1 / lr - 1 / la)).exp()
+            return (v > 0) - (v < 0)
+
+        span = 20.0 * max(l_r, l_a)
+        if math.isinf(md.R_W):
+            rs = np.linspace(0.0, span, 65)
+        else:
+            band = 1e-9 * max(1.0, md.R_W)
+            near = np.geomspace(1e-8, 1.0, 17) * max(1.0, md.R_W)
+            below = np.concatenate([np.linspace(0.0, md.R_W, 33)[:-1], md.R_W - near])
+            below = below[below >= 0.0]
+            above = md.R_W + np.concatenate([near[near <= span],
+                                             np.linspace(0.0, span, 65)[1:]])
+            assert all(scaled_slope_sign(r) < 0 for r in below if r < md.R_W - band)
+            assert all(scaled_slope_sign(r) > 0 for r in above if r > md.R_W + band)
+            rs = np.concatenate([below, [md.R_W], above])
+        assert np.all(spec.radial(rs) >= md.W_min - 1e-12)
 
 
 class TestApproximateLaplacian:
@@ -222,12 +268,6 @@ class TestApproximateLaplacian:
         assert v == pytest.approx(3 - 2 / 2.0, abs=5e-3)
         v1 = pot.approximate_laplacian(spec, [1.0, 0.0, 0.0], 1e-3)
         assert v1 == pytest.approx(1.0, abs=5e-3)
-
-    def test_error_estimate_reported(self):
-        spec = pot.PowerLaw(3, 2.0, 1.0)
-        v, err = pot.approximate_laplacian(spec, [2.0, 0.0, 0.0], 0.01,
-                                           return_error=True)
-        assert err >= 0 and abs(v - 2.0) <= max(10 * err, 5e-3)
 
     def test_eps_validation(self):
         with pytest.raises(pot.PotentialError):
