@@ -329,19 +329,7 @@ def cmd_recover(cfg: dict, out_dir: Path, seed: int, workers: int, rec: _Record)
     refine = _integer(cfg.get("refine_levels", 3), "refine_levels")
 
     rec.start("recover")
-    try:
-        prepared = {}
-        for n in n_list:
-            cubes = recovery._cube_count(n, rho.dim)
-            prepared[n] = rho if rho.resolution % cubes == 0 \
-                else measures.regrid(rho, cubes)
-        rows = []
-        for n in sorted(n_list):
-            row = recovery.recovery_convergence_report(
-                spec, prepared[n], [n], refine_levels=refine)[0]
-            rows.append(row)
-    except (recovery.RecoveryError, measures.MeasureError) as exc:
-        raise ConfigError(str(exc)) from exc
+    rows = recovery.recovery_convergence_report(spec, rho, n_list, refine_levels=refine)
     rec.stop()
 
     table = [(r.N, r.discrete_energy, r.continuum_energy, r.energy_gap, r.w1, r.theta)

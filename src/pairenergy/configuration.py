@@ -155,7 +155,7 @@ def ball_mass(X: Configuration, i: int, r: float) -> float:
         raise ConfigurationError(f"index {i} out of range for N = {X.n}")
     if r <= 0:
         raise ConfigurationError("radius must be positive")
-    d = np.linalg.norm(X.points - X.points[i], axis=1)
+    d = pairs.differences(X.points[i:i + 1], X.points)[1]
     count = int(np.count_nonzero(d < r)) - 1  # centre particle excluded
     return count / X.n
 

@@ -19,7 +19,7 @@ import numpy as np
 from .configuration import (Configuration, ConfigurationError, ball_mass,
                             diameter, min_pair_distance,
                             per_particle_potentials)
-from .pairs import self_blocks
+from .pairs import blocks, self_blocks
 from .potentials import PotentialError, PotentialSpec, _ball_deviation, metadata
 
 
@@ -37,26 +37,33 @@ def empirical_morrey_seminorm(X: Configuration, exponent: float) -> MorreySemino
     m_{i,r} is the open-ball mass around x_i without the centre particle, a
     right-continuous step function of r, so the supremum is attained in the
     limit r decreasing to one of the interparticle distances D: it equals the
-    max over i and distinct D of D^{-exponent} (1/N) #{j != i : |x_j-x_i| <= D}.
-    Coincident points make the supremum infinite.
+    max over i and D of D^{-exponent} (1/N) #{j != i : |x_j-x_i| <= D}.  Rows
+    come from the row blocks of `pairs`, sorted: the k-th smallest distance
+    of row i (from k = 0) gets the count k + 1, which is exact at the last of
+    tied distances and smaller before it, so the row maximum is the exact
+    one.  Coincident points make the supremum infinite.
     """
     if exponent <= 0:
         raise ValueError("exponent must be positive")
     n = X.n
     if n < 2:
         return MorreySeminorm(0.0, 0, math.nan, single_point=True)
+    counts = np.arange(1, n + 1) / n
     best, bi, br = -math.inf, 0, math.nan
-    for i in range(n):
-        d = np.linalg.norm(X.points - X.points[i], axis=1)
-        d = np.delete(d, i)
-        if np.any(d == 0.0):
-            return MorreySeminorm(math.inf, i, 0.0)
-        dist, counts = np.unique(d, return_counts=True)
-        cum = np.cumsum(counts)  # closed-ball counts at each distinct distance
-        vals = dist ** (-exponent) * (cum / n)
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best, bi, br = float(vals[k]), i, float(dist[k])
+    for i0, _, r in blocks(X.points):
+        rows = np.arange(len(r))
+        # the self pair sorts last, where inf^{-exponent} = 0 never wins
+        r[rows, i0 + rows] = np.inf
+        r.sort(axis=1)
+        coincident = r[:, 0] == 0.0
+        if coincident.any():
+            return MorreySeminorm(math.inf, i0 + int(np.argmax(coincident)), 0.0)
+        vals = r ** (-exponent) * counts
+        k = vals.argmax(axis=1)
+        row_best = vals[rows, k]
+        i = int(np.argmax(row_best))
+        if row_best[i] > best:
+            best, bi, br = float(row_best[i]), i0 + i, float(r[i, k[i]])
     return MorreySeminorm(best, bi, br)
 
 

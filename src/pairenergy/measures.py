@@ -24,6 +24,11 @@ from .configuration import Configuration, discrete_energy
 from .potentials import PotentialError, PotentialSpec
 
 _MASS_TOL = 1e-12
+# Cap on the cells of a built grid and on the difference vectors of one
+# refinement level of continuum_energy_grid, checked before allocating.  With
+# the default 3 levels the deepest level needs 2,996,433 vectors in d = 4,
+# while d = 5 needs 16 to 19 million at the second level already.
+_MAX_GRID_VECTORS = 4_000_000
 
 
 class MeasureError(ValueError):
@@ -160,6 +165,9 @@ class GridDensity:
 def uniform_box(d: int, L: float, resolution: int) -> GridDensity:
     """Uniform probability on [-L, L)^d."""
     g = int(resolution)
+    if g ** d > _MAX_GRID_VECTORS:
+        raise MeasureError(f"a grid of {g}^{d} cells is above the cap of "
+                           f"{_MAX_GRID_VECTORS} cells")
     m = np.full(g ** d, 1.0 / g ** d)
     return GridDensity([-L] * d, [L] * d, g, m)
 
@@ -236,7 +244,7 @@ def continuum_energy_atoms(spec: PotentialSpec, mu: AtomicMeasure) -> float:
         return discrete_energy(spec, Configuration(mu.points)) + w0 / (2.0 * n)
     total = 0.0
     for i0, _, r in pairs.blocks(mu.points):
-        total += float(w[i0:i0 + len(r)] @ pairs.kernel(spec, r) @ w)
+        total += float(w[i0:i0 + len(r)] @ spec.radial(r) @ w)
     return 0.5 * total
 
 
@@ -292,6 +300,11 @@ def continuum_energy_grid(spec: PotentialSpec, rho: GridDensity,
         # 2 (sub)cell diagonals
         near = r2 <= _sq_norm(np.full(d, 2 ** (levels + 2 - level)), u2)
         total += float(weight[~near] @ spec.radial(np.sqrt(r2[~near])))
+        count = int(near.sum()) * len(steps)
+        if count > _MAX_GRID_VECTORS:
+            raise MeasureError(
+                f"refinement level {level + 1} needs {count} difference vectors, "
+                f"above the cap of {_MAX_GRID_VECTORS}")
         diff = (diff[near, None, :] + steps * 2 ** (levels - level)).reshape(-1, d)
         weight = (weight[near, None] * share).reshape(-1)
     # exactly coincident sub-pairs at the deepest level: W(0), or 0 for an

@@ -55,12 +55,6 @@ class OptimOpts:
             raise ValueError("invalid optimizer options")
         return replace(self, init_radius=init, hop_sigma=sigma)
 
-    def to_json(self) -> dict:
-        return {"grad_tol": self.grad_tol, "max_iters": self.max_iters,
-                "init_radius": self.init_radius, "n_starts": self.n_starts,
-                "hop_count": self.hop_count, "hop_sigma": self.hop_sigma,
-                "min_pair_dist": self.min_pair_dist, "seed": self.seed}
-
 
 @dataclass(frozen=True)
 class OptimResult:

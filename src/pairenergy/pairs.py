@@ -1,16 +1,15 @@
 """Pairwise distances and the kernel sums built on them.
 
-Every pair sum of the package takes its distances from here: the discrete
+Every particle distance of the package is measured here: the discrete
 energy, the per-particle potentials and forces (also inside the optimizer),
-the stationarity sums, the atomic continuum energy and the transport cost
-matrices.  Rows are processed in fixed blocks, so results are bitwise
-reproducible for a given input: the blocking never depends on worker counts
-or the environment.
+the stationarity sums, the empirical Morrey seminorm, the ball masses, the
+atomic continuum energy and the transport cost matrices.  W at a distance,
+W(0) included, is the potential's `radial`.  Rows are processed in fixed
+blocks, so results are bitwise reproducible for a given input: the blocking
+never depends on worker counts or the environment.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -27,18 +26,6 @@ def blocks(x: np.ndarray):
     """Yield (i0, *differences(x[i0:i0 + _ROWS], x)) over the row blocks of x."""
     for i0 in range(0, len(x), _ROWS):
         yield (i0, *differences(x[i0:i0 + _ROWS], x))
-
-
-def kernel(spec, r: np.ndarray) -> np.ndarray:
-    """W on an array of distances.  Exact zeros are coincident points: they
-    get W(0), +inf for a singular kernel, which is evaluated only when a zero
-    is present."""
-    zero = r == 0.0
-    if not zero.any():
-        return np.asarray(spec.radial(r), dtype=float)
-    vals = np.asarray(spec.radial(np.where(zero, 1.0, r)), dtype=float)
-    w0 = math.inf if spec.singular_at_origin else float(spec.radial(0.0))
-    return np.where(zero, w0, vals)
 
 
 class SelfBlock:
@@ -60,9 +47,7 @@ class SelfBlock:
         self.r[self._self] = 1.0
 
     def _values(self, spec) -> np.ndarray:
-        # rmin > 0 already rules out coincident points: skip the zero scan
-        vals = (np.asarray(spec.radial(self.r), dtype=float) if self.rmin > 0
-                else kernel(spec, self.r))
+        vals = np.asarray(spec.radial(self.r), dtype=float)
         vals[self._self] = 0.0
         return vals
 

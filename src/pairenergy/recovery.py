@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import measures
 from .configuration import Configuration, discrete_energy
 from .measures import AtomicMeasure, GridDensity, density_to_atoms, \
     continuum_energy_grid, wasserstein1
@@ -54,15 +55,8 @@ class RecoveryResult:
     N_p: int
     N_e: int
     theta: float
-    main_range: tuple        # index span [start, stop) of main particles
-    aux_range: tuple
+    aux_range: tuple         # index span [start, stop) of auxiliary particles
     L: float
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "counts": list(self.counts), "N_p": self.N_p,
-                "N_e": self.N_e, "theta": self.theta,
-                "main_range": list(self.main_range), "aux_range": list(self.aux_range),
-                "L": self.L, "config": self.config.to_json()}
 
 
 def _box_halfwidth(rho: GridDensity) -> float:
@@ -89,8 +83,8 @@ def build_recovery(rho: GridDensity, N: int) -> RecoveryResult:
     """Construct the N-particle recovery configuration for rho.
 
     rho's per-side resolution must be an integer multiple of
-    n = floor(N^(1/(4d))) so cube masses are exact sums of grid cells; use
-    measures.regrid(rho, multiple_of=n) first otherwise.
+    n = floor(N^(1/(4d))) so cube masses are exact sums of grid cells;
+    recovery_convergence_report regrids rho to such a resolution itself.
     """
     if N < 2:
         raise RecoveryError("need N >= 2")
@@ -144,8 +138,7 @@ def build_recovery(rho: GridDensity, N: int) -> RecoveryResult:
     if config.n != N:
         raise AssertionError("particle bookkeeping mismatch")
     return RecoveryResult(config=config, n=n, counts=tuple(counts), N_p=N_p,
-                          N_e=N_e, theta=N_p / N, main_range=(0, N_p),
-                          aux_range=(N_p, N), L=L)
+                          N_e=N_e, theta=N_p / N, aux_range=(N_p, N), L=L)
 
 
 def auxiliary_count_bound(N: int, d: int) -> float:
@@ -166,14 +159,22 @@ class RecoveryRow:
 def recovery_convergence_report(spec: PotentialSpec, rho: GridDensity,
                                 N_list, *, refine_levels: int = 3) -> list[RecoveryRow]:
     """Build the recovery configuration for each N and compare energies and
-    the transport distance to rho; rows ordered by N."""
-    e_rho = continuum_energy_grid(spec, rho, refine_levels=refine_levels)
-    atoms = density_to_atoms(rho)
+    the transport distance to rho; rows ordered by N.
+
+    For each N, rho is first regridded (measures.regrid) to the smallest
+    resolution that is a multiple of n = floor(N^(1/(4d))), which is its own
+    when that already is one; E(rho) and the atoms of rho are taken on that
+    grid.
+    """
     rows = []
     for N in sorted(int(v) for v in N_list):
-        rec = build_recovery(rho, N)
+        if N < 2:
+            raise RecoveryError("need N >= 2")
+        grid = measures.regrid(rho, _cube_count(N, rho.dim))
+        e_rho = continuum_energy_grid(spec, grid, refine_levels=refine_levels)
+        rec = build_recovery(grid, N)
         e_n = discrete_energy(spec, rec.config)
-        w1 = wasserstein1(AtomicMeasure.empirical(rec.config), atoms)
+        w1 = wasserstein1(AtomicMeasure.empirical(rec.config), density_to_atoms(grid))
         rows.append(RecoveryRow(N=N, discrete_energy=e_n, continuum_energy=e_rho,
                                 energy_gap=abs(e_n - e_rho), w1=w1, theta=rec.theta))
     return rows

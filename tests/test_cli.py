@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from pairenergy import cli
+from pairenergy import measures as mea
+from pairenergy import potentials as pot
+from pairenergy import recovery as rec
 from pairenergy.configuration import Configuration
 
 PL21_JSON = {"kind": "power_law", "d": 2, "a": 2.0, "b": 1.0}
@@ -141,6 +144,24 @@ class TestRecover:
         assert (tmp_path / "out" / "energy_gap_vs_N.svg").exists()
         assert (tmp_path / "out" / "w1_vs_N.svg").exists()
 
+    def test_unaligned_resolution_regridded_per_n(self, tmp_path):
+        cfg = write_config(tmp_path, "r.json",
+                           {"potential": {"kind": "power_law", "d": 1,
+                                          "a": 2.0, "b": 1.0},
+                            "N_list": [81, 16],
+                            "measure": {"builtin": "uniform_box", "L": 1.0,
+                                        "d": 1, "resolution": 63}})
+        assert run("recover", cfg, tmp_path / "out") == 0
+        lines = (tmp_path / "out" / "recover.csv").read_text().strip().splitlines()
+        got = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        # N = 16 has n = 2 cubes per side, so 63 cells become 64; N = 81 has n = 3
+        rho = mea.uniform_box(1, 1.0, 63)
+        spec = pot.PowerLaw(1, 2.0, 1.0)
+        want = [rec.recovery_convergence_report(spec, grid, [n])[0]
+                for n, grid in ((16, mea.regrid(rho, 2)), (81, rho))]
+        assert got == [[r.N, r.discrete_energy, r.continuum_energy, r.energy_gap,
+                        r.w1, r.theta] for r in want]
+
     def test_small_box_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "r.json",
                            {"potential": {"kind": "power_law", "d": 1,
@@ -240,6 +261,11 @@ RECOVER_1D = {"potential": {"kind": "power_law", "d": 1, "a": 2.0, "b": 1.0},
     ("classify", {"potential": dict(PL21_JSON, d=2.7)}, None),
     ("classify", {"potential": dict(PL21_JSON, d=True)}, None),
     ("classify", {"potential": dict(PL21_JSON, a=10**400)}, None),
+    ("classify", {"potential": dict(MORSE_U_JSON, d=5)}, None),
+    ("classify", {"potential": dict(MORSE_U_JSON, d=30)}, None),
+    ("recover", {"potential": dict(PL21_JSON, d=30), "N_list": [16],
+                 "measure": {"builtin": "uniform_box", "L": 1.0, "d": 30,
+                             "resolution": 8}}, None),
 ], ids=["float_n_starts", "string_refine_levels", "negative_morrey_exponent",
         "non_integer_workers_env", "string_seed", "string_box_L",
         "scalar_N_list_sweep", "scalar_N_list_recover", "empty_N_list",
@@ -250,7 +276,8 @@ RECOVER_1D = {"potential": {"kind": "power_law", "d": 1, "a": 2.0, "b": 1.0},
         "string_scan_resolution", "empty_scan_scales", "zero_scan_resolution",
         "string_potential_d", "string_potential_a", "string_morse_la",
         "null_potential_a", "float_potential_d", "bool_potential_d",
-        "overflowing_potential_a"])
+        "overflowing_potential_a", "morse_d5_scan_refinement",
+        "morse_d30_scan_grid", "uniform_box_d30_recover"])
 def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys,
                                          command, payload, env):
     # relative file names in a payload resolve against tmp_path

@@ -37,7 +37,56 @@ def brute_force_morrey(X, s):
     return best
 
 
+def unique_morrey(X, s):
+    """(value, index, radius) by the per-particle reference: each row of
+    distances reduced to closed-ball counts with np.unique and cumsum."""
+    pts, n = X.points, X.n
+    best, bi, br = -math.inf, 0, math.nan
+    for i in range(n):
+        d = np.delete(np.linalg.norm(pts - pts[i], axis=1), i)
+        if np.any(d == 0.0):
+            return math.inf, i, 0.0
+        dist, counts = np.unique(d, return_counts=True)
+        vals = dist ** (-s) * (np.cumsum(counts) / n)
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best, bi, br = float(vals[k]), i, float(dist[k])
+    return best, bi, br
+
+
+def lattice(n, cols):
+    """n points of the square lattice of spacing 0.5, row by row."""
+    idx = np.arange(n)
+    return 0.5 * np.stack([idx % cols, idx // cols], axis=1).astype(float)
+
+
+def close_pair_lattice():
+    pts = lattice(1100, 33)
+    pts[1000, 0] += 0.3      # 0.2 from point 1001: the maximum is in the second block
+    return pts
+
+
+def coincident_lattice():
+    pts = lattice(1100, 33)
+    pts[1000] = pts[550]
+    return pts
+
+
 class TestMorreySeminorm:
+    @pytest.mark.parametrize("s", [2.0, 1.3])
+    @pytest.mark.parametrize("points", [
+        lambda: lattice(600, 25),
+        close_pair_lattice,
+        coincident_lattice,
+        lambda: np.random.default_rng(32).normal(size=(600, 2)),
+        lambda: np.random.default_rng(33).normal(size=(1100, 2)),
+    ], ids=["tied_lattice_600", "close_pair_lattice_1100", "coincident_1100",
+            "random_600", "random_1100"])
+    def test_matches_unique_reference_across_row_blocks(self, points, s):
+        x = cfg.Configuration(points())
+        res = diag.empirical_morrey_seminorm(x, s)
+        assert (res.value, res.argmax_index, res.argmax_radius) == unique_morrey(x, s)
+
     def test_two_points(self):
         res = diag.empirical_morrey_seminorm(TWO_POINTS, 1.0)
         assert res.value == pytest.approx(0.5, abs=1e-15)

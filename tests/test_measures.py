@@ -26,6 +26,16 @@ def random_atoms(rng, n, d, equal=False):
     return mea.AtomicMeasure(pts, w)
 
 
+# 2 to 7 atoms in the plane, each (x, y, unnormalised weight)
+PLANAR_ATOMS = st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),
+                                  st.floats(0.05, 1.0)), min_size=2, max_size=7)
+
+
+def planar_measure(atoms):
+    a = np.array(atoms)
+    return mea.AtomicMeasure(a[:, :2], a[:, 2] / a[:, 2].sum())
+
+
 class TestCarriers:
     def test_atomic_validation(self):
         with pytest.raises(mea.MeasureError):
@@ -291,6 +301,20 @@ class TestWasserstein:
             dml = mea.wasserstein1(mu, la)
             dln = mea.wasserstein1(la, nu)
             assert dmn <= dml + dln + 1e-9                     # triangle
+
+    @settings(max_examples=60, deadline=None)
+    @given(PLANAR_ATOMS, PLANAR_ATOMS, PLANAR_ATOMS)
+    def test_metric_axioms_unequal_weights_d2(self, a, b, c):
+        # the transport LP path, which test_metric_axioms and acceptance
+        # criterion 8(d) reach with unequal weights only in d = 1
+        mu, nu, la = (planar_measure(x) for x in (a, b, c))
+        dmn = mea.wasserstein1(mu, nu)
+        assert dmn == mea.wasserstein1(nu, mu)
+        assert abs(mea.wasserstein1(mu, mu)) <= 1e-9
+        # projections are 1-Lipschitz, so the distance of the means is a lower bound
+        means = np.linalg.norm(mu.weights @ mu.points - nu.weights @ nu.points)
+        assert dmn >= means - 1e-9
+        assert dmn <= mea.wasserstein1(mu, la) + mea.wasserstein1(la, nu) + 1e-9
 
     def test_quantisation_warns(self):
         rng = np.random.default_rng(23)

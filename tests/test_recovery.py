@@ -122,6 +122,22 @@ class TestConvergenceReport:
         w1s = [r.w1 for r in rows]
         assert all(b <= 1.1 * a for a, b in zip(w1s, w1s[1:]))
 
+    def test_regrids_per_n(self):
+        # 63 cells: regridded to 64 for n = 2 (N = 16) and n = 4 (N = 256),
+        # kept for n = 3 (N = 81)
+        rho = mea.uniform_box(1, 1.0, 63)
+        rows = rec.recovery_convergence_report(PL11, rho, [256, 16, 81])
+        per_n = [rec.recovery_convergence_report(
+                     PL11, mea.regrid(rho, rec._cube_count(n, 1)), [n])[0]
+                 for n in (16, 81, 256)]
+        assert rows == per_n
+        assert rows[0].continuum_energy == rows[2].continuum_energy \
+            != rows[1].continuum_energy
+
+    def test_rejects_small_n(self):
+        with pytest.raises(rec.RecoveryError):
+            rec.recovery_convergence_report(PL11, UNIFORM_1D, [16, 0])
+
     def test_morrey_preserved_uniformly(self):
         values = []
         for n_particles in (16, 64, 256, 1024):
