@@ -3,7 +3,14 @@
 Subcommands: classify | minimize | sweep | recover | analyze.
 Config files in (JSON, schema-validated, unknown keys rejected), reproducible
 artifacts out (JSON results, CSV tables with 17-significant-digit numeric
-fields, self-contained SVG figures, and a RunRecord with the config hash).
+fields, self-contained SVG figures).
+
+`main` does what every command shares: it checks the config's top-level keys
+against `_COMMANDS`, parses the potential and the seed, runs the command and
+writes `config.json` (the config copy) and `run_record.json` (tool version,
+config hash, seed, workers, phase wall times and the command's results).  A
+command parses only its own keys, does its work, writes its artifacts and
+returns its results; `"converged": false` among them is a numeric failure.
 
 Exit codes: 0 success, 2 config/schema error, 3 numeric failure
 (non-convergence where convergence is required), 4 I/O error.
@@ -15,7 +22,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -30,8 +36,6 @@ from . import recovery
 from .configuration import Configuration, ConfigurationError, diameter
 from .optimizer import OptimOpts, minimize_multistart
 from .svgplot import line_plot
-
-WORKERS_ENV = "PAIRENERGY_WORKERS"
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO = 0, 2, 3, 4
 
@@ -77,13 +81,6 @@ def _n_list(v) -> list:
     return [_integer(n, "N_list entry") for n in v]
 
 
-def _parse_potential(obj) -> pot.PotentialSpec:
-    try:
-        return pot.potential_from_json(obj)
-    except pot.PotentialError as exc:
-        raise ConfigError(f"invalid potential: {exc}") from exc
-
-
 def _parse_optim(obj, seed: int) -> OptimOpts:
     if obj is None:
         return OptimOpts(seed=seed)
@@ -119,6 +116,8 @@ def _parse_measure(obj) -> measures.GridDensity:
     if "grid_file" in obj:
         if len(obj) != 1:
             raise ConfigError("measure: grid_file excludes other keys")
+        if not isinstance(obj["grid_file"], str):
+            raise ConfigError("measure.grid_file must be a path string")
         return measures.GridDensity.load(obj["grid_file"])
     if obj.get("builtin") != "uniform_box":
         raise ConfigError('measure: expected {"builtin": "uniform_box", ...} '
@@ -166,40 +165,6 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt_num(v) for v in row) + "\n")
 
 
-class _Record:
-    """Collects phase wall times and writes the run record."""
-
-    def __init__(self, cfg: dict, seed: int, workers: int, workers_from_env: bool):
-        self.cfg = cfg
-        self.seed = seed
-        self.workers = workers
-        self.workers_from_env = workers_from_env
-        self.phases = {}
-        self._t0 = None
-        self._name = None
-
-    def start(self, name: str):
-        self._name, self._t0 = name, time.perf_counter()
-
-    def stop(self):
-        self.phases[self._name] = time.perf_counter() - self._t0
-
-    def write(self, out_dir: Path, results: dict):
-        with open(out_dir / "config.json", "w") as fh:
-            json.dump(self.cfg, fh, indent=2, sort_keys=True)
-        record = {
-            "tool_version": __version__,
-            "config_hash": _config_hash(self.cfg),
-            "seed": self.seed,
-            "workers": self.workers,
-            "workers_from_env": self.workers_from_env,
-            "phase_wall_times": self.phases,
-            "results": results,
-        }
-        with open(out_dir / "run_record.json", "w") as fh:
-            json.dump(record, fh, indent=2)
-
-
 # --------------------------------------------------------------------------
 # Commands
 # --------------------------------------------------------------------------
@@ -219,14 +184,13 @@ def _parse_scan(obj) -> dict:
     return out
 
 
-def cmd_classify(cfg: dict, out_dir: Path, seed: int, workers: int, rec: _Record) -> int:
-    _require_keys(cfg, {"potential", "seed", "scan"}, {"potential"}, "config")
-    spec = _parse_potential(cfg["potential"])
+def cmd_classify(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
+                 phases: dict) -> dict:
     scan_cfg = cfg.get("scan")
     if scan_cfg is None and math.isfinite(pot.metadata(spec).W_inf):
         scan_cfg = {}
     scan = None if scan_cfg is None else _parse_scan(scan_cfg)
-    rec.start("classify")
+    t0 = time.perf_counter()
     report = pot.classify_stability(spec)
     payload = report.to_json()
     if scan is not None:
@@ -236,48 +200,39 @@ def cmd_classify(cfg: dict, out_dir: Path, seed: int, workers: int, rec: _Record
             "best_energy": cert.best_energy, "threshold": cert.threshold,
             "margin": cert.margin,
         }
-    rec.stop()
+    phases["classify"] = time.perf_counter() - t0
     with open(out_dir / "classify.json", "w") as fh:
         json.dump(payload, fh, indent=2)
-    rec.write(out_dir, {"class": payload["class"]})
-    return EXIT_OK
+    return {"class": payload["class"]}
 
 
-def cmd_minimize(cfg: dict, out_dir: Path, seed: int, workers: int, rec: _Record) -> int:
-    _require_keys(cfg, {"potential", "N", "optim", "diagnostics", "seed"},
-                  {"potential", "N"}, "config")
-    spec = _parse_potential(cfg["potential"])
+def cmd_minimize(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
+                 phases: dict) -> dict:
     n = _integer(cfg["N"], "N")
     opts = _parse_optim(cfg.get("optim"), seed)
     diag_opts = _parse_diag(cfg.get("diagnostics"))
 
-    rec.start("minimize")
+    t0 = time.perf_counter()
     result = minimize_multistart(spec, n, opts, workers=workers)
-    rec.stop()
+    phases["minimize"] = time.perf_counter() - t0
     with open(out_dir / "minimize.json", "w") as fh:
         json.dump(result.to_json(), fh, indent=2)
 
-    rec.start("diagnostics")
+    t0 = time.perf_counter()
     report = diag.build_report(spec, result.best, **diag_opts)
-    rec.stop()
+    phases["diagnostics"] = time.perf_counter() - t0
     with open(out_dir / "diagnostics.json", "w") as fh:
         json.dump(report.to_json(), fh, indent=2)
-
-    rec.write(out_dir, {"energy": result.energy, "converged": result.converged,
-                        "stop_reason": result.stop_reason})
-    if not result.converged:
-        raise NumericFailure("descent did not reach the force tolerance")
-    return EXIT_OK
+    return {"energy": result.energy, "converged": result.converged,
+            "stop_reason": result.stop_reason}
 
 
 _SWEEP_HEADER = ("N", "energy", "diameter", "morrey_seminorm", "el_pair_spread",
                  "el_energy_spread", "fitted_k_prefix")
 
 
-def cmd_sweep(cfg: dict, out_dir: Path, seed: int, workers: int, rec: _Record) -> int:
-    _require_keys(cfg, {"potential", "N_list", "optim", "diagnostics", "seed"},
-                  {"potential", "N_list"}, "config")
-    spec = _parse_potential(cfg["potential"])
+def cmd_sweep(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
+              phases: dict) -> dict:
     n_list = _n_list(cfg["N_list"])
     opts = _parse_optim(cfg.get("optim"), seed)
     diag_opts = _parse_diag(cfg.get("diagnostics"))
@@ -285,7 +240,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, seed: int, workers: int, rec: _Record) -
 
     rows = []
     all_converged = True
-    rec.start("sweep")
+    t0 = time.perf_counter()
     for n in n_list:
         result = minimize_multistart(spec, n, opts, workers=workers)
         all_converged &= result.converged
@@ -299,7 +254,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, seed: int, workers: int, rec: _Record) -
             k_hat = math.nan
         rows.append((n, result.energy, diameter(result.best), mor.value,
                      pair, energy_spread, k_hat))
-    rec.stop()
+    phases["sweep"] = time.perf_counter() - t0
 
     _write_csv(out_dir / "sweep.csv", _SWEEP_HEADER, rows)
     ns = [r[0] for r in rows]
@@ -310,27 +265,22 @@ def cmd_sweep(cfg: dict, out_dir: Path, seed: int, workers: int, rec: _Record) -
               [(ns, spreads, "max |P_i - 2E_N|")],
               title="Euler-Lagrange spread", xlabel="N", ylabel="spread",
               logx=True, logy=True)
-    rec.write(out_dir, {"rows": len(rows),
-                        "uniform_K_estimate": max(r[2] for r in rows)})
-    if not all_converged:
-        raise NumericFailure("a sweep minimisation did not converge")
-    return EXIT_OK
+    return {"rows": len(rows), "uniform_K_estimate": max(r[2] for r in rows),
+            "converged": all_converged}
 
 
 _RECOVER_HEADER = ("N", "E_N", "E_rho", "energy_gap", "w1", "theta")
 
 
-def cmd_recover(cfg: dict, out_dir: Path, seed: int, workers: int, rec: _Record) -> int:
-    _require_keys(cfg, {"potential", "N_list", "measure", "refine_levels", "seed"},
-                  {"potential", "N_list", "measure"}, "config")
-    spec = _parse_potential(cfg["potential"])
+def cmd_recover(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
+                phases: dict) -> dict:
     n_list = _n_list(cfg["N_list"])
     rho = _parse_measure(cfg["measure"])
     refine = _integer(cfg.get("refine_levels", 3), "refine_levels")
 
-    rec.start("recover")
+    t0 = time.perf_counter()
     rows = recovery.recovery_convergence_report(spec, rho, n_list, refine_levels=refine)
-    rec.stop()
+    phases["recover"] = time.perf_counter() - t0
 
     table = [(r.N, r.discrete_energy, r.continuum_energy, r.energy_gap, r.w1, r.theta)
              for r in rows]
@@ -342,14 +292,11 @@ def cmd_recover(cfg: dict, out_dir: Path, seed: int, workers: int, rec: _Record)
               logx=True, logy=True)
     line_plot(out_dir / "w1_vs_N.svg", [(ns, [r.w1 for r in rows], "W1")],
               title="Transport distance to rho", xlabel="N", ylabel="W1")
-    rec.write(out_dir, {"rows": len(rows), "final_gap": rows[-1].energy_gap})
-    return EXIT_OK
+    return {"rows": len(rows), "final_gap": rows[-1].energy_gap}
 
 
-def cmd_analyze(cfg: dict, out_dir: Path, seed: int, workers: int, rec: _Record) -> int:
-    _require_keys(cfg, {"potential", "configuration_file", "diagnostics", "seed"},
-                  {"potential", "configuration_file"}, "config")
-    spec = _parse_potential(cfg["potential"])
+def cmd_analyze(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
+                phases: dict) -> dict:
     diag_opts = _parse_diag(cfg.get("diagnostics"))
     path = cfg["configuration_file"]
     if not isinstance(path, str):
@@ -358,25 +305,26 @@ def cmd_analyze(cfg: dict, out_dir: Path, seed: int, workers: int, rec: _Record)
         X = Configuration.load_csv(path)
     else:
         X = Configuration.load_json(path)
-    rec.start("analyze")
+    t0 = time.perf_counter()
     report = diag.build_report(spec, X, **diag_opts)
-    rec.stop()
+    phases["analyze"] = time.perf_counter() - t0
     with open(out_dir / "analysis.json", "w") as fh:
         json.dump(report.to_json(), fh, indent=2)
     # one sweep-schema row so analyze outputs aggregate with sweep tables
     _write_csv(out_dir / "analysis.csv", _SWEEP_HEADER,
                [(report.n, report.energy, report.diameter, report.morrey_seminorm,
                  report.el_spread_pairs, report.el_spread_energy, math.nan)])
-    rec.write(out_dir, {"energy": report.energy})
-    return EXIT_OK
+    return {"energy": report.energy}
 
 
+# name -> (command, optional keys, required keys); every config also takes
+# "potential" (required) and "seed"
 _COMMANDS = {
-    "classify": cmd_classify,
-    "minimize": cmd_minimize,
-    "sweep": cmd_sweep,
-    "recover": cmd_recover,
-    "analyze": cmd_analyze,
+    "classify": (cmd_classify, {"scan"}, set()),
+    "minimize": (cmd_minimize, {"optim", "diagnostics"}, {"N"}),
+    "sweep": (cmd_sweep, {"optim", "diagnostics"}, {"N_list"}),
+    "recover": (cmd_recover, {"refine_levels"}, {"N_list", "measure"}),
+    "analyze": (cmd_analyze, {"diagnostics"}, {"configuration_file"}),
 }
 
 
@@ -392,28 +340,38 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=1,
                         help="parallelism cap (never changes results)")
     args = parser.parse_args(argv)
+    command, optional, required = _COMMANDS[args.command]
 
     try:
         cfg = _load_config(args.config)
+        _require_keys(cfg, {"potential", "seed", *optional, *required},
+                      {"potential", *required}, "config")
+        try:
+            spec = pot.potential_from_json(cfg["potential"])
+        except pot.PotentialError as exc:
+            raise ConfigError(f"invalid potential: {exc}") from exc
         seed = cfg.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ConfigError("seed must be an integer")
         if args.seed is not None:
             seed = args.seed
-        workers = args.workers
-        env = os.environ.get(WORKERS_ENV, "")
-        workers_from_env = bool(env)
-        if env:
-            if not env.strip().isdecimal():
-                raise ConfigError(f"{WORKERS_ENV} must be an integer >= 1, got {env!r}")
-            workers = int(env)
-        if workers < 1:
+        if args.workers < 1:
             raise ConfigError("workers must be >= 1")
 
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        rec = _Record(cfg, seed, workers, workers_from_env)
-        return _COMMANDS[args.command](cfg, out_dir, seed, workers, rec)
+        phases = {}
+        results = command(spec, cfg, out_dir, seed, args.workers, phases)
+        with open(out_dir / "config.json", "w") as fh:
+            json.dump(cfg, fh, indent=2, sort_keys=True)
+        record = {"tool_version": __version__, "config_hash": _config_hash(cfg),
+                  "seed": seed, "workers": args.workers, "phase_wall_times": phases,
+                  "results": results}
+        with open(out_dir / "run_record.json", "w") as fh:
+            json.dump(record, fh, indent=2)
+        if results.get("converged") is False:
+            raise NumericFailure("a descent did not reach the force tolerance")
+        return EXIT_OK
     except (ConfigError, pot.PotentialError, ConfigurationError,
             measures.MeasureError, recovery.RecoveryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

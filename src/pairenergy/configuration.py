@@ -59,11 +59,14 @@ class Configuration:
     def from_json(cls, obj: dict) -> "Configuration":
         if not isinstance(obj, dict) or set(obj) != {"d", "points"}:
             raise ConfigurationError('configuration JSON must be {"d": ..., "points": [...]}')
+        d = obj["d"]
+        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+            raise ConfigurationError(f"d must be an integer >= 1, got {d!r}")
         try:
             pts = np.array(obj["points"], dtype=float)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"points must be rows of numbers: {exc}") from None
-        if pts.ndim != 2 or pts.shape[1] != obj["d"]:
+        if pts.ndim != 2 or pts.shape[1] != d:
             raise ConfigurationError("points do not match the declared dimension")
         if not np.all(np.isfinite(pts)):
             raise ConfigurationError("NaN/Inf coordinates rejected")

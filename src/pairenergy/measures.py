@@ -29,6 +29,10 @@ _MASS_TOL = 1e-12
 # the default 3 levels the deepest level needs 2,996,433 vectors in d = 4,
 # while d = 5 needs 16 to 19 million at the second level already.
 _MAX_GRID_VECTORS = 4_000_000
+# Atoms a measure keeps before the transport LP of wasserstein1.
+_MAX_ATOMS = 512
+# Radii of the log grid that grid_morrey_norm scans.
+_MORREY_RADII = 64
 
 
 class MeasureError(ValueError):
@@ -320,13 +324,14 @@ def continuum_energy_grid(spec: PotentialSpec, rho: GridDensity,
 # Morrey machinery
 # --------------------------------------------------------------------------
 
-def grid_morrey_norm(rho: GridDensity, s: float, n_radii: int = 64) -> float:
+def grid_morrey_norm(rho: GridDensity, s: float) -> float:
     """Resolution-limited lower estimate of sup r^{-s} rho(B_r(x)).
 
-    Centres range over cell centres; radii over a fixed log grid from one
-    cell width to the box diagonal.  A cell's mass counts only when the whole
-    cell (all 2^d corners) lies inside the ball, so every candidate value is
-    below the true ball mass and the result never exceeds the true norm.
+    Centres range over cell centres; radii over a log grid of `_MORREY_RADII`
+    radii from one cell width to the box diagonal.  A cell's mass counts only
+    when the whole cell (all 2^d corners) lies inside the ball, so every
+    candidate value is below the true ball mass and the result never exceeds
+    the true norm.
     """
     d = rho.dim
     if not 0 < s <= d:
@@ -338,7 +343,7 @@ def grid_morrey_norm(rho: GridDensity, s: float, n_radii: int = 64) -> float:
     corners = centres[:, None, :] + corners_off[None, :, :]   # (M, 2^d, d)
     r_lo = float(np.min(width))
     r_hi = float(np.linalg.norm(rho.hi - rho.lo))
-    radii = np.geomspace(r_lo, r_hi, int(n_radii))
+    radii = np.geomspace(r_lo, r_hi, _MORREY_RADII)
     scale = radii ** (-s)
     masses = rho.masses
     best = 0.0
@@ -389,13 +394,13 @@ def _w1_assignment(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     return float(cost[rows, cols].sum()) / mu.n_atoms
 
 
-def _quantise(mu: AtomicMeasure, max_atoms: int) -> AtomicMeasure:
-    if mu.n_atoms <= max_atoms:
+def _quantise(mu: AtomicMeasure) -> AtomicMeasure:
+    if mu.n_atoms <= _MAX_ATOMS:
         return mu
-    warnings.warn(f"measure truncated from {mu.n_atoms} to {max_atoms} atoms "
+    warnings.warn(f"measure truncated from {mu.n_atoms} to {_MAX_ATOMS} atoms "
                   "before the exact transport solve", TransportQuantisationWarning,
                   stacklevel=3)
-    keep = np.argsort(-mu.weights, kind="stable")[:max_atoms]
+    keep = np.argsort(-mu.weights, kind="stable")[:_MAX_ATOMS]
     keep = np.sort(keep)
     w = mu.weights[keep]
     return AtomicMeasure(mu.points[keep], w / w.sum())
@@ -412,19 +417,19 @@ def _w1_lp(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     cols = np.concatenate([var, target])
     a_eq = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + m - 1, n * m))
     b_eq = np.concatenate([mu.weights, nu.weights[:-1]])
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm")
     if not res.success:
         raise MeasureError(f"transport LP failed: {res.message}")
     return float(res.fun)
 
 
-def wasserstein1(mu: AtomicMeasure, nu: AtomicMeasure, *, max_atoms: int = 512) -> float:
+def wasserstein1(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     """Exact Wasserstein-1 distance between atomic measures.
 
     d = 1 uses the quantile (CDF) coupling; equal-weight equal-count inputs
     use an exact optimal assignment; anything else is quantised to at most
-    `max_atoms` atoms (largest weights kept, renormalised, with a warning)
-    and solved as an exact transport LP.
+    `_MAX_ATOMS` atoms (largest weights kept, renormalised, with a warning)
+    and solved as a transport LP by the HiGHS interior-point method.
     """
     if mu.dim != nu.dim:
         raise MeasureError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
@@ -439,6 +444,6 @@ def wasserstein1(mu: AtomicMeasure, nu: AtomicMeasure, *, max_atoms: int = 512) 
             and np.all(mu.weights == mu.weights[0]) \
             and np.all(nu.weights == nu.weights[0]):
         return _w1_assignment(mu, nu)
-    mu = _quantise(mu, max_atoms)
-    nu = _quantise(nu, max_atoms)
+    mu = _quantise(mu)
+    nu = _quantise(nu)
     return _w1_lp(mu, nu)

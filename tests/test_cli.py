@@ -1,7 +1,12 @@
+import copy
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pairenergy import cli
 from pairenergy import measures as mea
@@ -206,16 +211,19 @@ class TestAnalyze:
         assert run("analyze", cfg, tmp_path / "out") == cli.EXIT_IO
 
 
-class TestWorkersEnv:
-    def test_env_override_logged(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "2")
-        cfg = write_config(tmp_path, "m.json",
-                           {"potential": PL21_JSON, "N": 2,
-                            "optim": CHEAP_OPTIM, "seed": 3})
-        assert run("minimize", cfg, tmp_path / "out", "--workers", "1") == 0
-        record = json.loads((tmp_path / "out" / "run_record.json").read_text())
-        assert record["workers"] == 2 and record["workers_from_env"]
+@pytest.mark.parametrize("command, sizes", [("minimize", {"N": 6}),
+                                            ("sweep", {"N_list": [5, 6]})])
+def test_unconverged_descent_is_numeric_failure(tmp_path, capsys, command, sizes):
+    cfg = write_config(tmp_path, "c.json",
+                       {"potential": MORSE_U_JSON, **sizes,
+                        "optim": {"n_starts": 1, "hop_count": 0, "max_iters": 1}})
+    assert run(command, cfg, tmp_path / "out") == cli.EXIT_NUMERIC
+    assert "numeric failure" in capsys.readouterr().err
+    record = json.loads((tmp_path / "out" / "run_record.json").read_text())
+    assert record["results"]["converged"] is False
 
+
+class TestFlags:
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, "m.json",
                            {"potential": PL21_JSON, "N": 2,
@@ -230,44 +238,47 @@ RECOVER_1D = {"potential": {"kind": "power_law", "d": 1, "a": 2.0, "b": 1.0},
               "measure": {"builtin": "uniform_box", "L": 1.0, "d": 1, "resolution": 64}}
 
 
-@pytest.mark.parametrize("command, payload, env", [
-    ("minimize", {"potential": PL21_JSON, "N": 2, "optim": {"n_starts": 2.5}}, None),
-    ("recover", dict(RECOVER_1D, refine_levels="x"), None),
+@pytest.mark.parametrize("command, payload", [
+    ("minimize", {"potential": PL21_JSON, "N": 2, "optim": {"n_starts": 2.5}}),
+    ("recover", dict(RECOVER_1D, refine_levels="x")),
     ("minimize", {"potential": PL21_JSON, "N": 2,
-                  "diagnostics": {"morrey_exponent": -1}}, None),
-    ("minimize", {"potential": PL21_JSON, "N": 2, "optim": CHEAP_OPTIM}, "abc"),
-    ("minimize", {"potential": PL21_JSON, "N": 2, "seed": "x"}, None),
-    ("recover", dict(RECOVER_1D, measure=dict(RECOVER_1D["measure"], L="abc")), None),
-    ("sweep", {"potential": MORSE_U_JSON, "N_list": 5}, None),
-    ("recover", dict(RECOVER_1D, N_list=5), None),
-    ("sweep", {"potential": MORSE_U_JSON, "N_list": []}, None),
-    ("recover", dict(RECOVER_1D, measure={"grid_file": "not_json.grid"}), None),
-    ("analyze", {"potential": PL21_JSON, "configuration_file": 12345}, None),
-    ("analyze", {"potential": PL21_JSON, "configuration_file": ["x.json"]}, None),
-    ("analyze", {"potential": PL21_JSON, "configuration_file": "not_json.json"}, None),
-    ("analyze", {"potential": PL21_JSON, "configuration_file": "text_point.json"}, None),
-    ("analyze", {"potential": PL21_JSON, "configuration_file": "ragged.json"}, None),
-    ("analyze", {"potential": PL21_JSON, "configuration_file": "text_point.csv"}, None),
-    ("analyze", {"potential": PL21_JSON, "configuration_file": "ragged.csv"}, None),
-    ("classify", {"potential": MORSE_U_JSON, "scan": {"margin": "x"}}, None),
-    ("classify", {"potential": MORSE_U_JSON, "scan": {"scales": 5}}, None),
-    ("classify", {"potential": MORSE_U_JSON, "scan": {"resolution": "a"}}, None),
-    ("classify", {"potential": MORSE_U_JSON, "scan": {"scales": []}}, None),
-    ("classify", {"potential": MORSE_U_JSON, "scan": {"resolution": 0}}, None),
-    ("classify", {"potential": dict(PL21_JSON, d="x")}, None),
-    ("classify", {"potential": dict(PL21_JSON, a="x")}, None),
-    ("classify", {"potential": dict(MORSE_U_JSON, la="q")}, None),
-    ("classify", {"potential": dict(PL21_JSON, a=None)}, None),
-    ("classify", {"potential": dict(PL21_JSON, d=2.7)}, None),
-    ("classify", {"potential": dict(PL21_JSON, d=True)}, None),
-    ("classify", {"potential": dict(PL21_JSON, a=10**400)}, None),
-    ("classify", {"potential": dict(MORSE_U_JSON, d=5)}, None),
-    ("classify", {"potential": dict(MORSE_U_JSON, d=30)}, None),
+                  "diagnostics": {"morrey_exponent": -1}}),
+    ("minimize", {"potential": PL21_JSON, "N": 2, "seed": "x"}),
+    ("recover", dict(RECOVER_1D, measure=dict(RECOVER_1D["measure"], L="abc"))),
+    ("sweep", {"potential": MORSE_U_JSON, "N_list": 5}),
+    ("recover", dict(RECOVER_1D, N_list=5)),
+    ("sweep", {"potential": MORSE_U_JSON, "N_list": []}),
+    ("recover", dict(RECOVER_1D, measure={"grid_file": "not_json.grid"})),
+    ("analyze", {"potential": PL21_JSON, "configuration_file": 12345}),
+    ("analyze", {"potential": PL21_JSON, "configuration_file": ["x.json"]}),
+    ("analyze", {"potential": PL21_JSON, "configuration_file": "not_json.json"}),
+    ("analyze", {"potential": PL21_JSON, "configuration_file": "text_point.json"}),
+    ("analyze", {"potential": PL21_JSON, "configuration_file": "ragged.json"}),
+    ("analyze", {"potential": PL21_JSON, "configuration_file": "text_point.csv"}),
+    ("analyze", {"potential": PL21_JSON, "configuration_file": "ragged.csv"}),
+    ("classify", {"potential": MORSE_U_JSON, "scan": {"margin": "x"}}),
+    ("classify", {"potential": MORSE_U_JSON, "scan": {"scales": 5}}),
+    ("classify", {"potential": MORSE_U_JSON, "scan": {"resolution": "a"}}),
+    ("classify", {"potential": MORSE_U_JSON, "scan": {"scales": []}}),
+    ("classify", {"potential": MORSE_U_JSON, "scan": {"resolution": 0}}),
+    ("classify", {"potential": dict(PL21_JSON, d="x")}),
+    ("classify", {"potential": dict(PL21_JSON, a="x")}),
+    ("classify", {"potential": dict(MORSE_U_JSON, la="q")}),
+    ("classify", {"potential": dict(PL21_JSON, a=None)}),
+    ("classify", {"potential": dict(PL21_JSON, d=2.7)}),
+    ("classify", {"potential": dict(PL21_JSON, d=True)}),
+    ("classify", {"potential": dict(PL21_JSON, a=10**400)}),
+    ("classify", {"potential": dict(MORSE_U_JSON, d=5)}),
+    ("classify", {"potential": dict(MORSE_U_JSON, d=30)}),
     ("recover", {"potential": dict(PL21_JSON, d=30), "N_list": [16],
                  "measure": {"builtin": "uniform_box", "L": 1.0, "d": 30,
-                             "resolution": 8}}, None),
+                             "resolution": 8}}),
+    ("recover", dict(RECOVER_1D, measure={"grid_file": 12345})),
+    ("analyze", {"potential": RECOVER_1D["potential"],
+                 "configuration_file": "bool_d.json"}),
+    ("analyze", {"potential": PL21_JSON, "configuration_file": "float_d.json"}),
 ], ids=["float_n_starts", "string_refine_levels", "negative_morrey_exponent",
-        "non_integer_workers_env", "string_seed", "string_box_L",
+        "string_seed", "string_box_L",
         "scalar_N_list_sweep", "scalar_N_list_recover", "empty_N_list",
         "grid_file_not_json", "integer_configuration_file", "list_configuration_file",
         "configuration_not_json", "configuration_text_point_json",
@@ -277,20 +288,87 @@ RECOVER_1D = {"potential": {"kind": "power_law", "d": 1, "a": 2.0, "b": 1.0},
         "string_potential_d", "string_potential_a", "string_morse_la",
         "null_potential_a", "float_potential_d", "bool_potential_d",
         "overflowing_potential_a", "morse_d5_scan_refinement",
-        "morse_d30_scan_grid", "uniform_box_d30_recover"])
+        "morse_d30_scan_grid", "uniform_box_d30_recover", "integer_grid_file",
+        "bool_configuration_d", "float_configuration_d"])
 def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys,
-                                         command, payload, env):
+                                         command, payload):
     # relative file names in a payload resolve against tmp_path
     monkeypatch.chdir(tmp_path)
     files = {"not_json.grid": "lo, hi\n", "not_json.json": "points: [0, 0]\n",
              "text_point.json": '{"d": 2, "points": [[0, 0], ["a", 1]]}',
              "ragged.json": '{"d": 2, "points": [[0, 0], [1]]}',
-             "text_point.csv": "0,0\na,1\n", "ragged.csv": "0,0\n1\n"}
+             "text_point.csv": "0,0\na,1\n", "ragged.csv": "0,0\n1\n",
+             "bool_d.json": '{"d": true, "points": [[0.0], [1.0], [2.5]]}',
+             "float_d.json": '{"d": 2.0, "points": [[0.0, 0.0], [1.0, 0.0], [2.5, 0.0]]}'}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    if env is not None:
-        monkeypatch.setenv(cli.WORKERS_ENV, env)
     cfg = write_config(tmp_path, "c.json", payload)
     assert run(command, cfg, tmp_path / "out") == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out" / "run_record.json").exists()
+
+
+# Valid, small configs of every command.  File names resolve against the test's
+# working directory, where the fuzz test writes them.
+FUZZ_OPTIM = {"n_starts": 1, "hop_count": 0, "max_iters": 200}
+FUZZ_BASES = [
+    ("classify", {"potential": MORSE_U_JSON,
+                  "scan": {"scales": [0.5, 2.0], "resolution": 8, "margin": 1e-6}}),
+    ("minimize", {"potential": PL21_JSON, "N": 3, "seed": 1, "optim": FUZZ_OPTIM,
+                  "diagnostics": {"eps_factors": [0.1], "morrey_exponent": 1.0}}),
+    ("sweep", {"potential": PL21_JSON, "N_list": [2, 3], "optim": FUZZ_OPTIM}),
+    ("recover", dict(RECOVER_1D, N_list=[4], refine_levels=1,
+                     measure=dict(RECOVER_1D["measure"], resolution=8))),
+    ("recover", dict(RECOVER_1D, N_list=[4], measure={"grid_file": "rho.json"})),
+    ("analyze", {"potential": PL21_JSON, "configuration_file": "x.json",
+                 "diagnostics": {"lower_mass_radius": 0.5}}),
+]
+FILE_KEYS = {"configuration_file", "grid_file"}
+# wrong types, and the out-of-range numbers the schema documents (0.5 is the
+# eps_factors bound)
+WRONG_VALUES = ["x", None, True, [1.0], {"a": 1}, 0, -1, 0.5]
+
+
+def _paths(obj, prefix=()):
+    """The path of every key and list entry of a config, outermost first."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """One base config with one key dropped or added, or one value replaced;
+    a file-valued key is only ever replaced by another string."""
+    command, cfg = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    *parents, key = draw(st.sampled_from(list(_paths(cfg))))
+    holder = cfg
+    for k in parents:
+        holder = holder[k]
+    kind = draw(st.sampled_from(["drop", "add", "replace"]))
+    if kind == "drop" and isinstance(holder, dict):
+        del holder[key]
+    elif kind == "add" and isinstance(holder, dict):
+        holder["bogus"] = 1
+    elif key in FILE_KEYS:
+        holder[key] = "missing.json"
+    else:
+        holder[key] = draw(st.sampled_from(WRONG_VALUES))
+    return command, cfg
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=mutated_configs())
+def test_fuzzed_config_exits_cleanly(tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    Configuration([[0.0, 0.0], [1.0, 0.0], [0.0, 1.5]]).save_json(tmp_path / "x.json")
+    mea.uniform_box(1, 1.0, 8).save(tmp_path / "rho.json")
+    command, payload = case
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    out = work / "out"
+    rc = run(command, write_config(work, "c.json", payload), out)
+    assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC, cli.EXIT_IO)
+    assert (out / "run_record.json").exists() == (rc in (cli.EXIT_OK, cli.EXIT_NUMERIC))
