@@ -24,6 +24,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -63,14 +64,15 @@ def _require_keys(obj: dict, allowed: set, required: set, where: str):
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
 
-def _integer(v, where: str, minimum: int = 1) -> int:
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-        raise ConfigError(f"{where} must be an integer >= {minimum}")
+def _integer(v, where: str) -> int:
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        raise ConfigError(f"{where} must be an integer >= 1")
     return v
 
 
 def _positive_number(v, where: str, below: float = math.inf) -> float:
-    if not (isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < below):
+    if not (isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < below
+            and v <= sys.float_info.max):
         raise ConfigError(f"{where} must be a number in (0, {below:g})")
     return float(v)
 
@@ -78,30 +80,27 @@ def _positive_number(v, where: str, below: float = math.inf) -> float:
 def _n_list(v) -> list:
     if not isinstance(v, list) or not v:
         raise ConfigError("N_list must be a nonempty list")
-    return [_integer(n, "N_list entry") for n in v]
+    ns = [_integer(n, "N_list entry") for n in v]
+    if len(set(ns)) != len(ns):
+        raise ConfigError("N_list entries must be distinct")
+    return ns
 
 
 def _parse_optim(obj, seed: int) -> OptimOpts:
+    """OptimOpts from an `optim` object; OptimOpts checks the values."""
     if obj is None:
         return OptimOpts(seed=seed)
-    ints = {"max_iters": 1, "n_starts": 1, "hop_count": 0}   # key -> minimum
-    floats = {"grad_tol", "init_radius", "hop_sigma", "min_pair_dist"}
-    _require_keys(obj, set(ints) | floats, set(), "optim")
-    opts = {}
-    for k, v in obj.items():
-        if k in ints:
-            opts[k] = _integer(v, f"optim.{k}", ints[k])
-        elif v is not None or k not in ("init_radius", "hop_sigma"):  # None: derived
-            opts[k] = _positive_number(v, f"optim.{k}")
-    return OptimOpts(seed=seed, **opts)
+    _require_keys(obj, {f.name for f in fields(OptimOpts)} - {"seed"}, set(), "optim")
+    return OptimOpts(seed=seed, **obj)
 
 
-def _parse_diag(obj) -> dict:
+def _parse_diag(obj, keys=("morrey_exponent", "lower_mass_radius", "eps_factors")) -> dict:
+    """build_report keywords from a `diagnostics` object with only `keys`."""
     if obj is None:
         return {}
-    numbers = ("morrey_exponent", "lower_mass_radius")
-    _require_keys(obj, {*numbers, "eps_factors"}, set(), "diagnostics")
-    out = {k: _positive_number(obj[k], f"diagnostics.{k}") for k in numbers if k in obj}
+    _require_keys(obj, set(keys), set(), "diagnostics")
+    out = {k: _positive_number(obj[k], f"diagnostics.{k}")
+           for k in ("morrey_exponent", "lower_mass_radius") if k in obj}
     if "eps_factors" in obj:
         if not isinstance(obj["eps_factors"], list):
             raise ConfigError("diagnostics.eps_factors must be a list")
@@ -235,7 +234,7 @@ def cmd_sweep(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
               phases: dict) -> dict:
     n_list = _n_list(cfg["N_list"])
     opts = _parse_optim(cfg.get("optim"), seed)
-    diag_opts = _parse_diag(cfg.get("diagnostics"))
+    diag_opts = _parse_diag(cfg.get("diagnostics"), keys=("morrey_exponent",))
     s = diag_opts.get("morrey_exponent", diag.default_morrey_exponent(spec))
 
     rows = []
@@ -312,7 +311,7 @@ def cmd_analyze(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
         json.dump(report.to_json(), fh, indent=2)
     # one sweep-schema row so analyze outputs aggregate with sweep tables
     _write_csv(out_dir / "analysis.csv", _SWEEP_HEADER,
-               [(report.n, report.energy, report.diameter, report.morrey_seminorm,
+               [(report.N, report.energy, report.diameter, report.morrey_seminorm,
                  report.el_spread_pairs, report.el_spread_energy, math.nan)])
     return {"energy": report.energy}
 

@@ -68,8 +68,6 @@ class Configuration:
             raise ConfigurationError(f"points must be rows of numbers: {exc}") from None
         if pts.ndim != 2 or pts.shape[1] != d:
             raise ConfigurationError("points do not match the declared dimension")
-        if not np.all(np.isfinite(pts)):
-            raise ConfigurationError("NaN/Inf coordinates rejected")
         return cls(pts)
 
     def save_json(self, path):

@@ -11,16 +11,15 @@ defined; they just need not satisfy the minimiser inequalities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
-from .configuration import (Configuration, ConfigurationError, ball_mass,
-                            diameter, min_pair_distance,
-                            per_particle_potentials)
-from .pairs import blocks, self_blocks
-from .potentials import PotentialError, PotentialSpec, _ball_deviation, metadata
+from .configuration import (Configuration, _blocks, ball_mass, diameter,
+                            min_pair_distance, per_particle_potentials)
+from .pairs import blocks
+from .potentials import PotentialSpec, _ball_deviation, metadata
 
 
 @dataclass(frozen=True)
@@ -124,15 +123,12 @@ def stationarity_check(spec: PotentialSpec, X: Configuration,
 
     lap^eps W(z) depends on |z| only, so v_j is the row sum over particle j
     of the radial kernel f_eps(r) of potentials._ball_deviation on the pair
-    distances.  Requires X to have the potential's dimension (else
-    PotentialError) and eps < half the minimum interparticle distance so no
-    kernel singularity enters any averaging ball.
+    distances.  Requires N >= 2 (else ConfigurationError), X to have the
+    potential's dimension (else PotentialError), as every pair sum of
+    `configuration` does, and eps < half the minimum interparticle distance
+    so no kernel singularity enters any averaging ball.
     """
-    if X.n < 2:
-        raise ConfigurationError("stationarity check needs N >= 2")
-    if X.dim != spec.dimension:
-        raise PotentialError(
-            f"potential dimension {spec.dimension} != configuration dimension {X.dim}")
+    row_blocks = _blocks(spec, X, "a stationarity check")
     min_dist = min_pair_distance(X)
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -141,7 +137,7 @@ def stationarity_check(spec: PotentialSpec, X: Configuration,
             f"eps must be below half the minimum pair distance ({0.5 * min_dist:g})")
     ball = SimpleNamespace(
         radial=lambda r: _ball_deviation(spec.radial, r, eps, spec.dimension))
-    vals = np.concatenate([blk.potentials(ball) for blk in self_blocks(X.points)])
+    vals = np.concatenate([blk.potentials(ball) for blk in row_blocks])
     return StationarityResult(tuple(vals.tolist()), float(vals.min()), eps)
 
 
@@ -167,8 +163,11 @@ def diameter_bound_check(spec: PotentialSpec, X: Configuration) -> DiameterCheck
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    n: int
-    dimension: int
+    """Full verification record of one configuration; the field names are
+    the keys of its JSON form."""
+
+    N: int
+    d: int
     energy: float
     diameter: float
     K_N_bound: float
@@ -185,21 +184,7 @@ class DiagnosticsReport:
     notes: tuple = field(default_factory=tuple)
 
     def to_json(self) -> dict:
-        return {
-            "N": self.n, "d": self.dimension, "energy": self.energy,
-            "diameter": self.diameter, "K_N_bound": self.K_N_bound,
-            "diameter_bound_holds": self.diameter_bound_holds,
-            "morrey_exponent": self.morrey_exponent,
-            "morrey_seminorm": self.morrey_seminorm,
-            "morrey_argmax_index": self.morrey_argmax_index,
-            "morrey_argmax_radius": self.morrey_argmax_radius,
-            "el_spread_pairs": self.el_spread_pairs,
-            "el_spread_energy": self.el_spread_energy,
-            "stationarity": [[e, v] for e, v in self.stationarity],
-            "lower_mass_radius": self.lower_mass_radius,
-            "lower_mass": self.lower_mass,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 def default_morrey_exponent(spec: PotentialSpec) -> float:
@@ -246,7 +231,7 @@ def build_report(spec: PotentialSpec, X: Configuration, *,
     r_mass = lower_mass_radius if lower_mass_radius is not None \
         else (r_w if math.isfinite(r_w) and r_w > 0 else 1.0)
     return DiagnosticsReport(
-        n=X.n, dimension=X.dim, energy=energy, diameter=dchk.diam,
+        N=X.n, d=X.dim, energy=energy, diameter=dchk.diam,
         K_N_bound=dchk.K_N, diameter_bound_holds=dchk.holds,
         morrey_exponent=s, morrey_seminorm=mor.value,
         morrey_argmax_index=mor.argmax_index, morrey_argmax_radius=mor.argmax_radius,

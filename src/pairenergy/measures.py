@@ -274,6 +274,11 @@ def continuum_energy_grid(spec: PotentialSpec, rho: GridDensity,
     the subcells; at the deepest level exactly-coincident sub-pairs contribute
     W(0) when finite and vanish for integrable singular kernels.  Only offsets
     and cell widths enter, so the result is translation invariant.
+
+    Offsets are integer vectors v in units of the deepest half-subcell.  On
+    cubic cells nearness is the exact integer test sum v_i^2 <= d t^2, so a
+    tie is near in every dimension; on other cells it compares the rounded
+    squared lengths of _sq_norm, which also gives every radius.
     """
     if spec.dimension != rho.dim:
         raise PotentialError("dimension mismatch between potential and density")
@@ -288,8 +293,7 @@ def continuum_energy_grid(spec: PotentialSpec, rho: GridDensity,
     acorr = np.fft.fftshift(np.fft.irfftn(f * f.conj(), s=shape, axes=axes), axes=axes)
     weight = acorr.reshape(-1)
     # offsets in units of w / 2^(levels+1), in which every difference of
-    # subcell centres is an integer vector, so ties with the threshold are
-    # decided exactly
+    # subcell centres is an integer vector
     u2 = (rho.cell_width / 2 ** (levels + 1)) ** 2
     diff = (np.indices(shape, dtype=float).reshape(d, -1).T - (g - 1)) * 2 ** (levels + 1)
     # the (2^d)^2 subpairs of a pair differ by steps in {-1, 0, 1}^d, with
@@ -299,10 +303,15 @@ def continuum_energy_grid(spec: PotentialSpec, rho: GridDensity,
     share = np.prod(2 - np.abs(steps), axis=1) / 4 ** d
 
     total = 0.0
+    cubic = bool(np.all(u2 == u2[0]))
     for level in range(levels):
         r2 = _sq_norm(diff, u2)
-        # 2 (sub)cell diagonals
-        near = r2 <= _sq_norm(np.full(d, 2 ** (levels + 2 - level)), u2)
+        # 2 (sub)cell diagonals: on cubic cells an exact integer comparison
+        t = 2 ** (levels + 2 - level)
+        if cubic:
+            near = np.einsum("ij,ij->i", diff, diff) <= d * t * t
+        else:
+            near = r2 <= _sq_norm(np.full(d, t), u2)
         total += float(weight[~near] @ spec.radial(np.sqrt(r2[~near])))
         count = int(near.sum()) * len(steps)
         if count > _MAX_GRID_VECTORS:

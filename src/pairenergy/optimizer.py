@@ -14,9 +14,11 @@ bitwise identical for a fixed seed at any worker count.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -33,7 +35,13 @@ _CURVATURE_EPS = 1e-10  # store (s, y) only if s.y > eps |s| |y|
 
 @dataclass(frozen=True)
 class OptimOpts:
-    """Solver options; None fields are derived from the potential."""
+    """Solver options; None fields are derived from the potential.
+
+    Construction checks every field but `seed` and raises ConfigurationError:
+    the counts are integers (not bools) at or above their minima, and the
+    lengths and tolerances positive finite numbers, where only `init_radius`
+    and `hop_sigma` may be None.
+    """
 
     grad_tol: float = 1e-8
     max_iters: int = 50_000
@@ -44,15 +52,28 @@ class OptimOpts:
     min_pair_dist: float = 1e-9
     seed: int = 0
 
+    def __post_init__(self):
+        for name, minimum in (("max_iters", 1), ("n_starts", 1), ("hop_count", 0)):
+            v = getattr(self, name)
+            if not isinstance(v, Integral) or isinstance(v, bool) or v < minimum:
+                raise ConfigurationError(f"{name} must be an integer >= {minimum}, "
+                                         f"got {v!r}")
+        for name in ("grad_tol", "init_radius", "hop_sigma", "min_pair_dist"):
+            v = getattr(self, name)
+            if v is None and name in ("init_radius", "hop_sigma"):
+                continue
+            if not isinstance(v, Real) or isinstance(v, bool) \
+                    or not 0 < v <= sys.float_info.max:
+                raise ConfigurationError(f"{name} must be a positive finite number, "
+                                         f"got {v!r}")
+
     def resolved(self, spec: PotentialSpec) -> "OptimOpts":
+        """These options with `init_radius` and `hop_sigma` filled in."""
         init = self.init_radius
         if init is None:
             r_w = metadata(spec).R_W
             init = 2.0 * max(1.0, r_w if math.isfinite(r_w) else 1.0)
         sigma = self.hop_sigma if self.hop_sigma is not None else 0.1 * init
-        if min(self.grad_tol, init, sigma, self.min_pair_dist) <= 0 \
-                or self.max_iters < 1 or self.n_starts < 1 or self.hop_count < 0:
-            raise ValueError("invalid optimizer options")
         return replace(self, init_radius=init, hop_sigma=sigma)
 
 
@@ -61,10 +82,12 @@ class OptimResult:
     best: Configuration
     energy: float
     force_residual: float
-    starts_summary: tuple          # (start_index, final_energy) pairs
     iterations_used: int
     stop_reason: str               # "converged", "stalled" or "max_iters"
     energy_trace: tuple | None = None
+    # (index, final energy) of each start and hop of a multistart search,
+    # inf for a skipped hop; empty for a single local solve
+    starts_summary: tuple = ()
 
     @property
     def converged(self) -> bool:
@@ -166,8 +189,7 @@ def minimize_local(spec: PotentialSpec, X0: Configuration,
         residual = float(np.max(np.linalg.norm(grad, axis=1)))
 
     energy = f / n
-    return OptimResult(Configuration(x), energy, residual, ((0, energy),),
-                       iters, stop, tuple(trace))
+    return OptimResult(Configuration(x), energy, residual, iters, stop, tuple(trace))
 
 
 def _sample_ball(rng: np.random.Generator, n: int, d: int, radius: float) -> np.ndarray:
@@ -188,42 +210,35 @@ def minimize_multistart(spec: PotentialSpec, N: int, opts: OptimOpts,
     if N < 2:
         raise ConfigurationError("need N >= 2")
     opts = opts.resolved(spec)
+    seed = int(opts.seed) & 0xFFFFFFFFFFFFFFFF
 
     def one_start(k: int) -> OptimResult:
-        rng = np.random.default_rng([int(opts.seed) & 0xFFFFFFFFFFFFFFFF, k])
+        rng = np.random.default_rng([seed, k])
         x0 = _sample_ball(rng, N, spec.dimension, opts.init_radius)
         return minimize_local(spec, Configuration(x0), opts)
 
-    indices = list(range(opts.n_starts))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_start, indices))
+            solves = list(pool.map(one_start, range(opts.n_starts)))
     else:
-        results = [one_start(k) for k in indices]
-
-    summary = []
-    best = None
-    iters = 0
-    for k, res in zip(indices, results):
-        summary.append((k, res.energy))
-        iters += res.iterations_used
-        if best is None or res.energy < best.energy:
+        solves = [one_start(k) for k in range(opts.n_starts)]
+    # one pass in index order: each hop kicks the incumbent of the solves
+    # before it, and a hop that kicks a pair too close is skipped as None
+    best = solves[0]
+    for idx in range(opts.n_starts + opts.hop_count):
+        if idx == len(solves):
+            rng = np.random.default_rng([seed, 2**32 + idx])
+            kicked = Configuration(best.best.points + rng.normal(
+                0.0, opts.hop_sigma, size=best.best.points.shape))
+            skip = spec.singular_at_origin \
+                and min_pair_distance(kicked) < opts.min_pair_dist
+            solves.append(None if skip else minimize_local(spec, kicked, opts))
+        res = solves[idx]
+        if res is not None and res.energy < best.energy:
             best = res
 
-    for h in range(opts.hop_count):
-        idx = opts.n_starts + h
-        rng = np.random.default_rng([int(opts.seed) & 0xFFFFFFFFFFFFFFFF, 2**32 + idx])
-        kicked = best.best.points + rng.normal(0.0, opts.hop_sigma,
-                                               size=best.best.points.shape)
-        if spec.singular_at_origin \
-                and min_pair_distance(Configuration(kicked)) < opts.min_pair_dist:
-            summary.append((idx, math.inf))
-            continue
-        res = minimize_local(spec, Configuration(kicked), opts)
-        summary.append((idx, res.energy))
-        iters += res.iterations_used
-        if res.energy < best.energy:
-            best = res
-
-    return OptimResult(best.best, best.energy, best.force_residual,
-                       tuple(summary), iters, best.stop_reason, best.energy_trace)
+    return replace(best,
+                   starts_summary=tuple((k, math.inf if res is None else res.energy)
+                                        for k, res in enumerate(solves)),
+                   iterations_used=sum(res.iterations_used for res in solves
+                                       if res is not None))

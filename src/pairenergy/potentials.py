@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -27,6 +27,11 @@ class PotentialError(ValueError):
 # Potential families
 # --------------------------------------------------------------------------
 
+def _check_dimension(d):
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise PotentialError(f"dimension must be an integer >= 1, got {d!r}")
+
+
 @dataclass(frozen=True)
 class PowerLaw:
     """W(x) = |x|^a / a - |x|^b / b.
@@ -39,12 +44,9 @@ class PowerLaw:
     a: float
     b: float
 
-    kind = "power_law"
-
     def __post_init__(self):
         d, a, b = self.dimension, self.a, self.b
-        if not (isinstance(d, int) and d >= 1):
-            raise PotentialError(f"dimension must be an integer >= 1, got {d!r}")
+        _check_dimension(d)
         if not (math.isfinite(a) and math.isfinite(b)):
             raise PotentialError("exponents must be finite")
         if not a > b:
@@ -79,9 +81,6 @@ class PowerLaw:
         r = np.asarray(r, dtype=float)
         return r ** (self.a - 1.0) - r ** (self.b - 1.0)
 
-    def to_json(self) -> dict:
-        return {"kind": "power_law", "d": self.dimension, "a": self.a, "b": self.b}
-
 
 @dataclass(frozen=True)
 class Morse:
@@ -93,12 +92,8 @@ class Morse:
     C_a: float
     l_a: float
 
-    kind = "morse"
-
     def __post_init__(self):
-        d = self.dimension
-        if not (isinstance(d, int) and d >= 1):
-            raise PotentialError(f"dimension must be an integer >= 1, got {d!r}")
+        _check_dimension(self.dimension)
         for name in ("C_r", "l_r", "C_a", "l_a"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
@@ -115,10 +110,6 @@ class Morse:
         return (-self.C_r / self.l_r) * np.exp(-r / self.l_r) \
             + (self.C_a / self.l_a) * np.exp(-r / self.l_a)
 
-    def to_json(self) -> dict:
-        return {"kind": "morse", "d": self.dimension,
-                "Cr": self.C_r, "lr": self.l_r, "Ca": self.C_a, "la": self.l_a}
-
 
 PotentialSpec = Union[PowerLaw, Morse]
 
@@ -131,8 +122,8 @@ _JSON_KINDS = {"power_law": (PowerLaw, ("a", "b")),
 def potential_from_json(obj: dict) -> PotentialSpec:
     """Build a potential from its JSON object form.
 
-    `d` must be an integer >= 1 and every parameter a number; a bool is
-    neither.
+    Every parameter must be a number, not a bool; the spec checks `d` and
+    the parameter ranges.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise PotentialError("potential JSON must be an object with a 'kind' key")
@@ -143,9 +134,6 @@ def potential_from_json(obj: dict) -> PotentialSpec:
     keys = {"kind", "d", *names}
     if set(obj) != keys:
         raise PotentialError(f"{kind} potential expects keys {sorted(keys)}")
-    d = obj["d"]
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise PotentialError(f"d must be an integer >= 1, got {d!r}")
     params = []
     for name in names:
         v = obj[name]
@@ -155,7 +143,7 @@ def potential_from_json(obj: dict) -> PotentialSpec:
             params.append(float(v))
         except OverflowError:
             raise PotentialError(f"{name} is out of the float range") from None
-    return cls(d, *params)
+    return cls(obj["d"], *params)
 
 
 # --------------------------------------------------------------------------
@@ -310,40 +298,27 @@ def _ball_deviation(fn, r, eps: float, d: int) -> np.ndarray:
     return (2.0 * (d + 2.0) / eps**2 * (avg - centre)).reshape(r.shape)
 
 
-def _as_radial_kernel(kernel) -> Callable[[np.ndarray], np.ndarray]:
-    if hasattr(kernel, "radial"):
-        return kernel.radial
-    if callable(kernel):
-        return kernel
-    raise PotentialError("kernel must be a potential or a callable of the radius")
+def approximate_laplacian(spec: PotentialSpec, x, eps: float) -> float:
+    """Scaled ball-average deviation (2(d+2)/eps^2)(avg_{B_eps(x)} W - W(x)).
 
-
-def approximate_laplacian(kernel, x, eps: float, *, d: int | None = None) -> float:
-    """Scaled ball-average deviation (2(d+2)/eps^2)(avg_{B_eps(x)} k - k(x)).
-
-    `kernel` is a radial evaluable: a potential spec or a callable mapping an
-    array of radii to values.  `x` must have shape (d,); d defaults to the
-    kernel's dimension, else to the length of x.  The ball average is a Gauss
-    rule in the radius and the axial cosine, exact for k(r) = r^(2m) with
-    m <= 7.  Returns +inf when a singular kernel origin lies inside the
-    averaging ball but not at x, and -inf when k(x) itself is +inf.
+    `x` must have shape (d,), d the potential's dimension.  The ball average
+    is a Gauss rule in the radius and the axial cosine, exact for
+    W(r) = r^(2m) with m <= 7 (see _ball_deviation, which takes any radial
+    function).  Returns +inf when a singular origin lies inside the averaging
+    ball but not at x, and -inf when W(x) itself is +inf.
     """
     if eps <= 0:
         raise PotentialError("eps must be positive")
     x = np.asarray(x, dtype=float)
-    if d is None:
-        d = getattr(kernel, "dimension", x.size)
+    d = spec.dimension
     if x.shape != (d,):
         raise PotentialError(f"x must have shape ({d},), got {x.shape}")
-    fn = _as_radial_kernel(kernel)
     rx = np.array([np.linalg.norm(x)])
-
-    center_val = float(np.asarray(fn(rx)).reshape(()))
-    if math.isinf(center_val):
+    if math.isinf(spec.radial(rx)[0]):
         return -math.inf
-    if getattr(kernel, "singular_at_origin", False) and rx[0] <= eps:
+    if spec.singular_at_origin and rx[0] <= eps:
         return math.inf
-    return float(_ball_deviation(fn, rx, eps, d)[0])
+    return float(_ball_deviation(spec.radial, rx, eps, d)[0])
 
 
 # --------------------------------------------------------------------------

@@ -14,9 +14,11 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def _ticks(lo: float, hi: float, log: bool) -> list[float]:
+    """Tick values of an axis spanning [lo, hi] in plot coordinates: the
+    powers of ten inside it on a log axis (lo and hi are then log10 values),
+    else steps of 1, 2 or 5 times a power of ten."""
     if log:
-        lo_e, hi_e = math.floor(math.log10(lo)), math.ceil(math.log10(hi))
-        return [10.0 ** e for e in range(lo_e, hi_e + 1)]
+        return [10.0 ** e for e in range(math.ceil(lo), math.floor(hi) + 1)]
     span = hi - lo
     if span <= 0:
         return [lo]
@@ -83,20 +85,16 @@ def line_plot(path, series, *, title="", xlabel="", ylabel="",
         parts.append(f'<text x="{_W/2:.1f}" y="24" text-anchor="middle" '
                      f'font-size="16" font-family="sans-serif">{title}</text>')
 
-    x_tick_vals = [10.0 ** e for e in range(math.ceil(x_lo), math.floor(x_hi) + 1)] \
-        if logx else _ticks(x_lo, x_hi, False)
-    for t in x_tick_vals:
-        xpix = _ML + ((math.log10(t) if logx else t) - x_lo) / (x_hi - x_lo) * pw
+    for t in _ticks(x_lo, x_hi, logx):
+        xpix = px(t)
         if xpix < _ML - 0.5 or xpix > _ML + pw + 0.5:
             continue
         parts.append(f'<line x1="{xpix:.1f}" y1="{_MT+ph}" x2="{xpix:.1f}" '
                      f'y2="{_MT+ph+5}" stroke="black"/>')
         parts.append(f'<text x="{xpix:.1f}" y="{_MT+ph+20}" text-anchor="middle" '
                      f'font-size="11" font-family="sans-serif">{_fmt(t)}</text>')
-    y_tick_vals = [10.0 ** e for e in range(math.ceil(y_lo), math.floor(y_hi) + 1)] \
-        if logy else _ticks(y_lo, y_hi, False)
-    for t in y_tick_vals:
-        ypix = _MT + ph - ((math.log10(t) if logy else t) - y_lo) / (y_hi - y_lo) * ph
+    for t in _ticks(y_lo, y_hi, logy):
+        ypix = py(t)
         if ypix < _MT - 0.5 or ypix > _MT + ph + 0.5:
             continue
         parts.append(f'<line x1="{_ML-5}" y1="{ypix:.1f}" x2="{_ML}" '

@@ -277,6 +277,14 @@ RECOVER_1D = {"potential": {"kind": "power_law", "d": 1, "a": 2.0, "b": 1.0},
     ("analyze", {"potential": RECOVER_1D["potential"],
                  "configuration_file": "bool_d.json"}),
     ("analyze", {"potential": PL21_JSON, "configuration_file": "float_d.json"}),
+    ("sweep", {"potential": MORSE_U_JSON, "N_list": [6, 6, 6], "optim": CHEAP_OPTIM}),
+    ("recover", dict(RECOVER_1D, N_list=[16, 16])),
+    ("sweep", {"potential": MORSE_U_JSON, "N_list": [2, 3], "optim": CHEAP_OPTIM,
+               "diagnostics": {"eps_factors": [0.1]}}),
+    ("sweep", {"potential": MORSE_U_JSON, "N_list": [2, 3], "optim": CHEAP_OPTIM,
+               "diagnostics": {"lower_mass_radius": 0.5}}),
+    ("minimize", {"potential": PL21_JSON, "N": 2, "optim": {"init_radius": 10**400}}),
+    ("recover", dict(RECOVER_1D, measure=dict(RECOVER_1D["measure"], L=10**400))),
 ], ids=["float_n_starts", "string_refine_levels", "negative_morrey_exponent",
         "string_seed", "string_box_L",
         "scalar_N_list_sweep", "scalar_N_list_recover", "empty_N_list",
@@ -289,7 +297,10 @@ RECOVER_1D = {"potential": {"kind": "power_law", "d": 1, "a": 2.0, "b": 1.0},
         "null_potential_a", "float_potential_d", "bool_potential_d",
         "overflowing_potential_a", "morse_d5_scan_refinement",
         "morse_d30_scan_grid", "uniform_box_d30_recover", "integer_grid_file",
-        "bool_configuration_d", "float_configuration_d"])
+        "bool_configuration_d", "float_configuration_d", "repeated_N_list_sweep",
+        "repeated_N_list_recover", "sweep_diagnostics_eps_factors",
+        "sweep_diagnostics_lower_mass_radius", "huge_integer_init_radius",
+        "huge_integer_box_L"])
 def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys,
                                          command, payload):
     # relative file names in a payload resolve against tmp_path

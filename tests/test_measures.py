@@ -170,6 +170,23 @@ class TestContinuumEnergyGrid:
         e3 = mea.continuum_energy_grid(SINGULAR3, mea.uniform_box(3, 1.0, 8))
         assert e3 == pytest.approx(1.42968503515024, rel=1e-12)
 
+    def test_near_ties_exact_in_d5(self):
+        # W = r^2/2 - r gives E(L) = L^2 A - L B on uniform_box(5, L, 4) when
+        # no near-offset decision depends on L: the tie of (2, 1, 0, 0, 0)
+        # with the threshold (1, 1, 1, 1, 1) once followed the rounding of
+        # the cell width
+        spec = pot.PowerLaw(5, 2.0, 1.0)
+
+        def energy(L):
+            return mea.continuum_energy_grid(spec, mea.uniform_box(5, L, 4),
+                                             refine_levels=1)
+
+        e1, e2 = energy(1.0), energy(2.0)     # A - B and 4A - 2B
+        a = (e2 - 2.0 * e1) / 2.0
+        b = a - e1
+        for L in (0.05, 0.2):
+            assert energy(L) == pytest.approx(L * L * a - L * b, rel=1e-12)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_pair_loop_at_one_level(self, d):
         # reference: the midpoint rule pair by pair, with cell pairs within 2

@@ -207,6 +207,15 @@ class TestMultistart:
         with pytest.raises(ValueError):
             opt.OptimOpts(seed=0, grad_tol=-1.0).resolved(PL21)
 
+    @pytest.mark.parametrize("bad", [{"grad_tol": math.nan}, {"init_radius": math.inf},
+                                     {"init_radius": 10**400}, {"n_starts": 2.5},
+                                     {"n_starts": True}, {"max_iters": True}],
+                             ids=["nan_grad_tol", "inf_init_radius", "huge_init_radius",
+                                  "float_n_starts", "bool_n_starts", "bool_max_iters"])
+    def test_options_rejected_at_construction(self, bad):
+        with pytest.raises(cfg.ConfigurationError):
+            opt.OptimOpts(seed=0, **bad)
+
     def test_default_radii_derived_from_potential(self):
         resolved = opt.OptimOpts(seed=0).resolved(PL21)
         assert resolved.init_radius == pytest.approx(2.0)       # 2 max(1, R_W)

@@ -48,9 +48,19 @@ class TestConstruction:
             with pytest.raises(pot.PotentialError):
                 pot.Morse(**kwargs)
 
+    @pytest.mark.parametrize("family", [pot.PowerLaw, pot.Morse])
+    def test_bool_dimension_rejected(self, family):
+        params = (2.0, 1.0) if family is pot.PowerLaw else (1, 0.5, 1, 1)
+        with pytest.raises(pot.PotentialError, match="dimension"):
+            family(True, *params)
+
     def test_json_round_trip(self):
-        for spec in (PL21, PL3_SING, MORSE_U):
-            assert pot.potential_from_json(spec.to_json()) == spec
+        for obj, spec in (
+                ({"kind": "power_law", "d": 2, "a": 2.0, "b": 1.0}, PL21),
+                ({"kind": "power_law", "d": 3, "a": 2.0, "b": -0.5}, PL3_SING),
+                ({"kind": "morse", "d": 2, "Cr": 1.0, "lr": 0.5, "Ca": 1.0, "la": 1.0},
+                 MORSE_U)):
+            assert pot.potential_from_json(obj) == spec
         with pytest.raises(pot.PotentialError):
             pot.potential_from_json({"kind": "power_law", "d": 2, "a": 2.0,
                                      "b": 1.0, "extra": 1})
@@ -218,15 +228,17 @@ class TestMetadata:
 
 
 class TestApproximateLaplacian:
+    # a kernel that is not a potential goes through _ball_deviation, the
+    # radial deviation that approximate_laplacian evaluates at r = |x|
     def test_quadratic_kernel_gives_dimension(self):
         for d in (1, 2, 3):
-            v = pot.approximate_laplacian(lambda r: r**2 / 2, np.zeros(d), 0.5, d=d)
+            v = pot._ball_deviation(lambda r: r**2 / 2, 0.0, 0.5, d)
             assert v == pytest.approx(d, rel=1e-12)
 
     def test_qmc_path_d4(self):
         # d >= 4 once took a quasi-Monte Carlo rule; it now takes the same
         # Gauss rule as d <= 3, which is exact on this kernel
-        v = pot.approximate_laplacian(lambda r: r**2 / 2, np.zeros(4), 0.5, d=4)
+        v = pot._ball_deviation(lambda r: r**2 / 2, 0.0, 0.5, 4)
         assert v == pytest.approx(4, rel=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -235,12 +247,9 @@ class TestApproximateLaplacian:
         # the unit ball give, with s = 2(d+2)/eps^2,
         #   s (avg |z+eps p|^2 - |z|^2) = 2d
         #   s (avg |z+eps p|^4 - |z|^4) = 4(d+2)|z|^2 + 2d(d+2) eps^2/(d+4)
-        rng = np.random.default_rng(d)
-        u = rng.normal(size=d)
-        z = 1.3 * u / np.linalg.norm(u)
         for eps in (0.05, 0.4, 2.0):
-            v2 = pot.approximate_laplacian(lambda r: r**2, z, eps)
-            v4 = pot.approximate_laplacian(lambda r: r**4, z, eps)
+            v2 = pot._ball_deviation(lambda r: r**2, 1.3, eps, d)
+            v4 = pot._ball_deviation(lambda r: r**4, 1.3, eps, d)
             assert v2 == pytest.approx(2 * d, rel=1e-12)
             want = 4 * (d + 2) * 1.3**2 + 2 * d * (d + 2) * eps**2 / (d + 4)
             assert v4 == pytest.approx(want, rel=1e-12)
@@ -257,8 +266,8 @@ class TestApproximateLaplacian:
         assert all(3.9 <= q <= 4.1 for q in ratios), ratios
 
     def test_constant_kernel_gives_zero(self):
-        v = pot.approximate_laplacian(lambda r: np.full_like(r, 7.25),
-                                      np.array([0.3, -0.2]), 0.1, d=2)
+        v = pot._ball_deviation(lambda r: np.full_like(r, 7.25),
+                                np.linalg.norm([0.3, -0.2]), 0.1, 2)
         assert v == 0.0
 
     def test_power_law_matches_analytic(self):
