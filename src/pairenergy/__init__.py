@@ -32,8 +32,6 @@ from .measures import (
     continuum_energy_atoms,
     continuum_energy_grid,
     density_to_atoms,
-    grid_morrey_norm,
-    morrey_radius_constant,
     regrid,
     uniform_ball,
     uniform_box,

@@ -108,7 +108,7 @@ class Configuration:
 def per_particle_potentials(spec: PotentialSpec, X: Configuration) -> np.ndarray:
     """P_i = (1/N) sum_{j != i} W(x_i - x_j)."""
     blocks = _blocks(spec, X, "a per-particle potential")
-    return np.concatenate([blk.potentials(spec) for blk in blocks]) / X.n
+    return np.concatenate([blk.potentials(spec.radial) for blk in blocks]) / X.n
 
 
 def discrete_energy(spec: PotentialSpec, X: Configuration) -> float:
@@ -118,7 +118,7 @@ def discrete_energy(spec: PotentialSpec, X: Configuration) -> float:
     """
     total = 0.0
     for blk in _blocks(spec, X, "the discrete energy"):
-        total += blk.energy(spec)
+        total += blk.energy(spec.radial)
     return total / (2.0 * X.n * X.n)
 
 
@@ -131,7 +131,7 @@ def per_particle_forces(spec: PotentialSpec, X: Configuration) -> np.ndarray:
     for blk in _blocks(spec, X, "a force"):
         if blk.rmin == 0.0:
             raise ConfigurationError("coincident pair: gradient undefined")
-        out.append(blk.forces(spec))
+        out.append(blk.forces(spec.radial_derivative))
     return np.concatenate(out) / X.n
 
 
@@ -142,7 +142,7 @@ def energy_gradient(spec: PotentialSpec, X: Configuration) -> np.ndarray:
 
 def diameter(X: Configuration) -> float:
     """Maximum pairwise Euclidean distance (0 for a single point)."""
-    return max(float(r.max()) for _, _, r in pairs.blocks(X.points))
+    return max(float(r.max()) for _, r in pairs.blocks(X.points))
 
 
 def min_pair_distance(X: Configuration) -> float:
@@ -156,7 +156,7 @@ def ball_mass(X: Configuration, i: int, r: float) -> float:
         raise ConfigurationError(f"index {i} out of range for N = {X.n}")
     if r <= 0:
         raise ConfigurationError("radius must be positive")
-    d = pairs.differences(X.points[i:i + 1], X.points)[1]
+    d = pairs.distances(X.points[i:i + 1], X.points)
     count = int(np.count_nonzero(d < r)) - 1  # centre particle excluded
     return count / X.n
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -49,7 +48,7 @@ def empirical_morrey_seminorm(X: Configuration, exponent: float) -> MorreySemino
         return MorreySeminorm(0.0, 0, math.nan, single_point=True)
     counts = np.arange(1, n + 1) / n
     best, bi, br = -math.inf, 0, math.nan
-    for i0, _, r in blocks(X.points):
+    for i0, r in blocks(X.points):
         rows = np.arange(len(r))
         # the self pair sorts last, where inf^{-exponent} = 0 never wins
         r[rows, i0 + rows] = np.inf
@@ -135,8 +134,10 @@ def stationarity_check(spec: PotentialSpec, X: Configuration,
     if not eps < 0.5 * min_dist:
         raise ValueError(
             f"eps must be below half the minimum pair distance ({0.5 * min_dist:g})")
-    ball = SimpleNamespace(
-        radial=lambda r: _ball_deviation(spec.radial, r, eps, spec.dimension))
+
+    def ball(r):
+        return _ball_deviation(spec.radial, r, eps, spec.dimension)
+
     vals = np.concatenate([blk.potentials(ball) for blk in row_blocks])
     return StationarityResult(tuple(vals.tolist()), float(vals.min()), eps)
 
@@ -201,8 +202,9 @@ def build_report(spec: PotentialSpec, X: Configuration, *,
     """Full verification record for one configuration.
 
     Stationarity is evaluated at eps = factor * (min pair distance) for each
-    factor; the smallest admissible radius scale is used for the ball-mass
-    floor unless one is configured.
+    factor, so a factor of 0.5 or more raises stationarity_check's ValueError;
+    coincident points skip it with a note.  The smallest admissible radius
+    scale is used for the ball-mass floor unless one is configured.
     """
     from .configuration import discrete_energy
 
@@ -215,13 +217,10 @@ def build_report(spec: PotentialSpec, X: Configuration, *,
     notes = []
     stat = []
     min_dist = min_pair_distance(X)
-    if math.isfinite(min_dist) and min_dist > 0:
+    if min_dist > 0:
         for fac in eps_factors:
-            eps = fac * min_dist
-            if eps >= 0.5 * min_dist:
-                continue
-            res = stationarity_check(spec, X, eps)
-            stat.append((eps, res.min_value))
+            res = stationarity_check(spec, X, fac * min_dist)
+            stat.append((res.eps, res.min_value))
         if stat and min(v for _, v in stat) < 0:
             notes.append("negative stationarity value: X need not be a minimiser")
     else:

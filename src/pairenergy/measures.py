@@ -29,10 +29,15 @@ _MASS_TOL = 1e-12
 # the default 3 levels the deepest level needs 2,996,433 vectors in d = 4,
 # while d = 5 needs 16 to 19 million at the second level already.
 _MAX_GRID_VECTORS = 4_000_000
+# Relative slack of the near-offset test of continuum_energy_grid.  A tie
+# (sum v_i^2 = d t^2 on cubic cells) must count as near whatever the last bits
+# of the cell widths are, and a translated grid can differ in those bits from
+# axis to axis.  1e-12 is far above that rounding and far below the smallest
+# relative gap of a non-tie on cubic cells, 1 / (d t^2) (about 2e-4 in d = 5
+# at 3 levels), so on cubic cells it decides exactly as integers would.
+_NEAR_SLACK = 1e-12
 # Atoms a measure keeps before the transport LP of wasserstein1.
 _MAX_ATOMS = 512
-# Radii of the log grid that grid_morrey_norm scans.
-_MORREY_RADII = 64
 
 
 class MeasureError(ValueError):
@@ -247,19 +252,9 @@ def continuum_energy_atoms(spec: PotentialSpec, mu: AtomicMeasure) -> float:
         # equal-weight case: exactly the discrete energy plus the self term
         return discrete_energy(spec, Configuration(mu.points)) + w0 / (2.0 * n)
     total = 0.0
-    for i0, _, r in pairs.blocks(mu.points):
+    for i0, r in pairs.blocks(mu.points):
         total += float(w[i0:i0 + len(r)] @ spec.radial(r) @ w)
     return 0.5 * total
-
-
-def _sq_norm(v: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """sum_i v_i^2 u2_i over the last axis of integer-valued vectors v, added
-    in axis order, so vectors with every |v_i| = s give bitwise the value of
-    the all-s vector."""
-    out = v[..., 0] ** 2 * u2[0]
-    for i in range(1, len(u2)):
-        out = out + v[..., i] ** 2 * u2[i]
-    return out
 
 
 def continuum_energy_grid(spec: PotentialSpec, rho: GridDensity,
@@ -269,16 +264,17 @@ def continuum_energy_grid(spec: PotentialSpec, rho: GridDensity,
     On the grid, W between cells i and j depends only on the offset k = i - j,
     so E = (1/2) sum_k A(k) K(k), where A(k) = sum_i m_i m_{i+k} is the mass
     autocorrelation (by FFT).  K(k) = W(|k w|) for offsets farther than 2 cell
-    diagonals.  Offsets within 2 diagonals (ties count as near) are refined by
-    recursive 2^d subdivision down to `refine_levels`, with the same rule on
-    the subcells; at the deepest level exactly-coincident sub-pairs contribute
-    W(0) when finite and vanish for integrable singular kernels.  Only offsets
-    and cell widths enter, so the result is translation invariant.
+    diagonals.  Offsets within 2 diagonals are refined by recursive 2^d
+    subdivision down to `refine_levels`, with the same rule on the subcells;
+    at the deepest level exactly-coincident sub-pairs contribute W(0) when
+    finite and vanish for integrable singular kernels.  Only offsets and cell
+    widths enter, so the result is translation invariant.
 
-    Offsets are integer vectors v in units of the deepest half-subcell.  On
-    cubic cells nearness is the exact integer test sum v_i^2 <= d t^2, so a
-    tie is near in every dimension; on other cells it compares the rounded
-    squared lengths of _sq_norm, which also gives every radius.
+    Nearness is one comparison on every grid.  Offsets are integer vectors v
+    in units of u, the deepest half-subcell, and (t, ..., t) in those units
+    spans 2 diagonals of the current (sub)cell; v is near when
+    sum_i v_i^2 u_i^2 <= t^2 sum_i u_i^2 (1 + _NEAR_SLACK), so ties count as
+    near on every grid, whatever the last bits of the cell widths.
     """
     if spec.dimension != rho.dim:
         raise PotentialError("dimension mismatch between potential and density")
@@ -303,15 +299,10 @@ def continuum_energy_grid(spec: PotentialSpec, rho: GridDensity,
     share = np.prod(2 - np.abs(steps), axis=1) / 4 ** d
 
     total = 0.0
-    cubic = bool(np.all(u2 == u2[0]))
     for level in range(levels):
-        r2 = _sq_norm(diff, u2)
-        # 2 (sub)cell diagonals: on cubic cells an exact integer comparison
-        t = 2 ** (levels + 2 - level)
-        if cubic:
-            near = np.einsum("ij,ij->i", diff, diff) <= d * t * t
-        else:
-            near = r2 <= _sq_norm(np.full(d, t), u2)
+        r2 = np.square(diff) @ u2
+        t = 2 ** (levels + 2 - level)   # 2 (sub)cell diagonals
+        near = r2 <= t * t * u2.sum() * (1.0 + _NEAR_SLACK)
         total += float(weight[~near] @ spec.radial(np.sqrt(r2[~near])))
         count = int(near.sum()) * len(steps)
         if count > _MAX_GRID_VECTORS:
@@ -322,59 +313,11 @@ def continuum_energy_grid(spec: PotentialSpec, rho: GridDensity,
         weight = (weight[near, None] * share).reshape(-1)
     # exactly coincident sub-pairs at the deepest level: W(0), or 0 for an
     # integrable singular core
-    r = np.sqrt(_sq_norm(diff, u2))
+    r = np.sqrt(np.square(diff) @ u2)
     zero = r == 0.0
     core = 0.0 if spec.singular_at_origin else float(spec.radial(0.0))
     total += float(weight @ np.where(zero, core, spec.radial(np.where(zero, 1.0, r))))
     return 0.5 * total
-
-
-# --------------------------------------------------------------------------
-# Morrey machinery
-# --------------------------------------------------------------------------
-
-def grid_morrey_norm(rho: GridDensity, s: float) -> float:
-    """Resolution-limited lower estimate of sup r^{-s} rho(B_r(x)).
-
-    Centres range over cell centres; radii over a log grid of `_MORREY_RADII`
-    radii from one cell width to the box diagonal.  A cell's mass counts only
-    when the whole cell (all 2^d corners) lies inside the ball, so every
-    candidate value is below the true ball mass and the result never exceeds
-    the true norm.
-    """
-    d = rho.dim
-    if not 0 < s <= d:
-        raise MeasureError(f"exponent s must lie in (0, d], got {s}")
-    centres = rho.cell_centres()
-    width = rho.cell_width
-    corners_off = np.stack(np.meshgrid(*([[-0.5, 0.5]] * d), indexing="ij"),
-                           axis=-1).reshape(-1, d) * width
-    corners = centres[:, None, :] + corners_off[None, :, :]   # (M, 2^d, d)
-    r_lo = float(np.min(width))
-    r_hi = float(np.linalg.norm(rho.hi - rho.lo))
-    radii = np.geomspace(r_lo, r_hi, _MORREY_RADII)
-    scale = radii ** (-s)
-    masses = rho.masses
-    best = 0.0
-    for c in centres:
-        far = np.max(np.linalg.norm(corners - c, axis=2), axis=1)   # (M,)
-        inside = far < radii[:, None]                               # (R, M)
-        vals = (inside @ masses) * scale
-        best = max(best, float(vals.max()))
-    return best
-
-
-def morrey_radius_constant(beta: float, s: float, r: float) -> float:
-    """Closed form 2^beta r^{s-beta} / (1 - 2^{beta-s}) with s = d/q.
-
-    Bounds the near-field integral of |x-y|^{-beta} against any measure of
-    s-Morrey norm 1; tends to 0 with r when beta < s.
-    """
-    if not beta < s:
-        raise MeasureError(f"need beta < d/q (got beta={beta}, d/q={s})")
-    if beta <= 0 or r <= 0:
-        raise MeasureError("beta and r must be positive")
-    return 2.0 ** beta * r ** (s - beta) / (1.0 - 2.0 ** (beta - s))
 
 
 # --------------------------------------------------------------------------
@@ -398,7 +341,7 @@ def _w1_1d(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
 
 
 def _w1_assignment(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
-    cost = pairs.differences(mu.points, nu.points)[1]
+    cost = pairs.distances(mu.points, nu.points)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum()) / mu.n_atoms
 
@@ -417,7 +360,7 @@ def _quantise(mu: AtomicMeasure) -> AtomicMeasure:
 
 def _w1_lp(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     n, m = mu.n_atoms, nu.n_atoms
-    cost = pairs.differences(mu.points, nu.points)[1].reshape(-1)
+    cost = pairs.distances(mu.points, nu.points).reshape(-1)
     # variable i*m + j carries plan entry (i, j): it sits in source row i and
     # in target row n + j, except for j = m - 1, whose constraint is redundant
     var = np.arange(n * m)
@@ -433,12 +376,14 @@ def _w1_lp(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
 
 
 def wasserstein1(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
-    """Exact Wasserstein-1 distance between atomic measures.
+    """Wasserstein-1 distance between atomic measures, exact in d = 1, between
+    equal-weight measures of equal size, and up to `_MAX_ATOMS` atoms each.
 
     d = 1 uses the quantile (CDF) coupling; equal-weight equal-count inputs
-    use an exact optimal assignment; anything else is quantised to at most
-    `_MAX_ATOMS` atoms (largest weights kept, renormalised, with a warning)
-    and solved as a transport LP by the HiGHS interior-point method.
+    use an exact optimal assignment; anything else is solved as a transport
+    LP by the HiGHS interior-point method, after a measure above `_MAX_ATOMS`
+    atoms is truncated to its `_MAX_ATOMS` heaviest atoms (renormalised, with
+    a TransportQuantisationWarning), so the result is then not exact.
     """
     if mu.dim != nu.dim:
         raise MeasureError(f"dimension mismatch: {mu.dim} vs {nu.dim}")

@@ -137,14 +137,15 @@ def minimize_local(spec: PotentialSpec, X0: Configuration,
         raise ConfigurationError("minimisation needs N >= 2")
 
     guard = opts.min_pair_dist if spec.singular_at_origin else 0.0
+    radial, derivative = spec.radial, spec.radial_derivative
     # f is N E_N; an accepted trial's block is reused for its forces
     x = np.array(X0.points)
     state = pairs.SelfBlock(x)
     if state.rmin == 0.0 or state.rmin < guard:
         # no force at a coincident pair, under any kernel
         raise ConfigurationError("initial configuration has a (near-)coincident pair")
-    f = state.energy(spec) / (2.0 * n)
-    grad = state.forces(spec) / n
+    f = state.energy(radial) / (2.0 * n)
+    grad = state.forces(derivative) / n
     residual = float(np.max(np.linalg.norm(grad, axis=1)))
     trace = [f / n]
     iters = 0
@@ -166,7 +167,7 @@ def minimize_local(spec: PotentialSpec, X0: Configuration,
         for _ in range(80):
             x_new = x + t * d
             trial = pairs.SelfBlock(x_new)
-            f_new = trial.energy(spec) / (2.0 * n)
+            f_new = trial.energy(radial) / (2.0 * n)
             if trial.rmin > 0.0 and trial.rmin >= guard \
                     and f_new <= f + _ARMIJO_C * t * slope:
                 accepted = True
@@ -178,7 +179,7 @@ def minimize_local(spec: PotentialSpec, X0: Configuration,
             stop = "stalled"  # cannot make progress at the smallest step
             break
 
-        grad_new = trial.forces(spec) / n
+        grad_new = trial.forces(derivative) / n
         s = x_new - x
         y = grad_new - grad
         sy = float(np.sum(s * y))

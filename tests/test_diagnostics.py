@@ -262,6 +262,11 @@ class TestReport:
         payload = report.to_json()
         assert payload["N"] == 3 and payload["d"] == 2
 
+    def test_eps_factor_at_half_min_distance_raises(self):
+        # stationarity_check alone decides which eps are admissible
+        with pytest.raises(ValueError, match="half the minimum pair distance"):
+            diag.build_report(PL21, EQUILATERAL, eps_factors=(0.5,))
+
     def test_non_minimiser_note(self):
         x = cfg.Configuration([[0.0, 0.0], [0.02, 0.0], [0.0, 0.02], [4.0, 4.0]])
         report = diag.build_report(MORSE2, x)

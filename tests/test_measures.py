@@ -187,6 +187,18 @@ class TestContinuumEnergyGrid:
         for L in (0.05, 0.2):
             assert energy(L) == pytest.approx(L * L * a - L * b, rel=1e-12)
 
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_cubic_grid_translation_exact(self, d):
+        # the moved box's cell widths differ from axis to axis in the last
+        # bits; its near-offset ties must be decided as the unmoved box's
+        spec = pot.PowerLaw(d, 2.0, 1.0)
+        rho = mea.uniform_box(d, 0.05, 4)
+        shift = np.eye(d)[0] * 0.1
+        moved = mea.GridDensity(rho.lo + shift, rho.hi + shift, 4, rho.masses)
+        e = mea.continuum_energy_grid(spec, rho, refine_levels=1)
+        assert mea.continuum_energy_grid(spec, moved, refine_levels=1) \
+            == pytest.approx(e, rel=1e-13, abs=0)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_pair_loop_at_one_level(self, d):
         # reference: the midpoint rule pair by pair, with cell pairs within 2
@@ -237,42 +249,6 @@ class TestContinuumEnergyGrid:
         mirrored = mea.continuum_energy_grid(spec, mea.GridDensity(lo, hi, g, flipped))
         assert moved == pytest.approx(e, rel=1e-13, abs=0)
         assert mirrored == pytest.approx(e, rel=1e-13, abs=0)
-
-
-class TestGridMorreyNorm:
-    def test_uniform_interval(self):
-        rho = mea.uniform_box(1, 1.0, 64)
-        assert mea.grid_morrey_norm(rho, 1.0) == pytest.approx(1.0, abs=0.02)
-
-    def test_uniform_wider_interval(self):
-        rho = mea.uniform_box(1, 2.0, 64)
-        assert mea.grid_morrey_norm(rho, 1.0) == pytest.approx(0.5, abs=0.01)
-
-    def test_scaling_equivariance(self):
-        # dilating the box by t scales the s-norm by t^{-s} (same mass)
-        v1 = mea.grid_morrey_norm(mea.uniform_box(1, 1.0, 64), 0.7)
-        v2 = mea.grid_morrey_norm(mea.uniform_box(1, 2.0, 64), 0.7)
-        assert v2 == pytest.approx(v1 * 2.0 ** -0.7, rel=1e-9)
-
-    def test_exponent_validation(self):
-        with pytest.raises(mea.MeasureError):
-            mea.grid_morrey_norm(mea.uniform_box(1, 1.0, 8), 0.0)
-        with pytest.raises(mea.MeasureError):
-            mea.grid_morrey_norm(mea.uniform_box(2, 1.0, 8), 2.5)
-
-
-class TestMorreyRadiusConstant:
-    def test_closed_form(self):
-        assert mea.morrey_radius_constant(1.0, 2.0, 1.0) == pytest.approx(4.0)
-
-    def test_vanishes_with_radius(self):
-        vals = [mea.morrey_radius_constant(1.0, 2.0, r) for r in (1.0, 0.1, 0.01)]
-        assert vals[0] > vals[1] > vals[2]
-        assert vals[2] < 0.05
-
-    def test_exponent_precondition(self):
-        with pytest.raises(mea.MeasureError):
-            mea.morrey_radius_constant(2.5, 2.5, 1.0)
 
 
 class TestWasserstein:
