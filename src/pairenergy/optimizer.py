@@ -23,7 +23,8 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import pairs
-from .configuration import Configuration, ConfigurationError, min_pair_distance
+from .configuration import (Configuration, ConfigurationError, _blocks,
+                            min_pair_distance)
 from .potentials import PotentialSpec, metadata
 
 _ARMIJO_C = 1e-4
@@ -101,40 +102,40 @@ class OptimResult:
 
 
 def _lbfgs_direction(grad: np.ndarray, memory, scale: float) -> np.ndarray:
-    """-H grad by the two-loop recursion over the stored (s, y, 1/s.y) pairs.
+    """-H grad by the two-loop recursion over the stored flat (s, y, 1/s.y).
 
     H0 is (s.y / y.y) of the newest pair, or `scale` while memory is empty.
     """
-    q = grad.copy()
+    q = grad.ravel().copy()
     alphas = []
     for s, y, rho in reversed(memory):
-        a = rho * float(np.sum(s * q))
+        a = rho * (s @ q)
         q -= a * y
         alphas.append(a)
     if memory:
         s, y, rho = memory[-1]
-        scale = 1.0 / (rho * float(np.sum(y * y)))
+        scale = 1.0 / (rho * (y @ y))
     q *= scale
     for (s, y, rho), a in zip(memory, reversed(alphas)):
-        q += (a - rho * float(np.sum(y * q))) * s
-    return -q
+        q += (a - rho * (y @ q)) * s
+    return -q.reshape(grad.shape)
 
 
 def minimize_local(spec: PotentialSpec, X0: Configuration,
                    opts: OptimOpts) -> OptimResult:
     """Descend E_N from X0; monotone by construction.
 
-    A start with a coincident pair raises ConfigurationError, as does one
-    closer than min_pair_dist under a singular kernel.  Steps that would make
-    a pair coincide, or for a singular kernel bring it closer than
-    min_pair_dist, are rejected and halved.  Non-convergence is reported in
+    A potential of another dimension raises PotentialError.  A start with a
+    coincident pair raises ConfigurationError, as does one closer than
+    min_pair_dist under a singular kernel.  Steps that would make a pair
+    coincide, or for a singular kernel bring it closer than min_pair_dist,
+    are rejected and halved.  Non-convergence is reported in
     `stop_reason`, not raised: "stalled" when no step down to the smallest
     length is accepted, "max_iters" when the iteration budget runs out.
     """
     opts = opts.resolved(spec)
+    _blocks(spec, X0, "minimisation")  # only for its checks of N and d
     n = X0.n
-    if n < 2:
-        raise ConfigurationError("minimisation needs N >= 2")
 
     guard = opts.min_pair_dist if spec.singular_at_origin else 0.0
     radial, derivative = spec.radial, spec.radial_derivative
@@ -157,40 +158,35 @@ def minimize_local(spec: PotentialSpec, X0: Configuration,
             break
         iters += 1
         d = _lbfgs_direction(grad, memory, 1.0 / max(1.0, residual))
-        slope = float(np.sum(grad * d))
+        slope = float(grad.ravel() @ d.ravel())
         if not slope < 0:
             memory.clear()
             d = -grad / max(1.0, residual)
-            slope = float(np.sum(grad * d))
+            slope = float(grad.ravel() @ d.ravel())
         t = 1.0
-        accepted = False
-        for _ in range(80):
+        while t >= _STEP_MIN:
             x_new = x + t * d
             trial = pairs.SelfBlock(x_new)
             f_new = trial.energy(radial) / (2.0 * n)
             if trial.rmin > 0.0 and trial.rmin >= guard \
                     and f_new <= f + _ARMIJO_C * t * slope:
-                accepted = True
                 break
             t *= _SHRINK
-            if t < _STEP_MIN:
-                break
-        if not accepted:
+        else:
             stop = "stalled"  # cannot make progress at the smallest step
             break
 
         grad_new = trial.forces(derivative) / n
-        s = x_new - x
-        y = grad_new - grad
-        sy = float(np.sum(s * y))
-        if sy > _CURVATURE_EPS * float(np.linalg.norm(s) * np.linalg.norm(y)):
+        s = (x_new - x).ravel()
+        y = (grad_new - grad).ravel()
+        sy = float(s @ y)
+        if sy > _CURVATURE_EPS * math.sqrt((s @ s) * (y @ y)):
             memory.append((s, y, 1.0 / sy))
         x, f, grad = x_new, f_new, grad_new
         trace.append(f / n)
         residual = float(np.max(np.linalg.norm(grad, axis=1)))
 
-    energy = f / n
-    return OptimResult(Configuration(x), energy, residual, iters, stop, tuple(trace))
+    return OptimResult(Configuration(x), f / n, residual, iters, stop, tuple(trace))
 
 
 def _sample_ball(rng: np.random.Generator, n: int, d: int, radius: float) -> np.ndarray:

@@ -7,7 +7,10 @@ atomic continuum energy and the transport cost matrices.  The sums take the
 kernel itself, a function of the distance such as a potential's `radial`
 (W(0) included) or `radial_derivative`.  Rows are processed in fixed blocks,
 so results are bitwise reproducible for a given input: the blocking never
-depends on worker counts or the environment.
+depends on worker counts or the environment.  Every r^2 sums the squares of
+one (rows, N) difference array per coordinate, axis by axis: in d <= 2 that
+is bitwise the sum over the last axis of the (rows, N, d) differences, in
+d >= 3 not always.
 """
 
 from __future__ import annotations
@@ -17,14 +20,18 @@ import numpy as np
 _ROWS = 512
 
 
-def _lengths(diff: np.ndarray) -> np.ndarray:
-    """Euclidean lengths of the vectors along the last axis of diff."""
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+def _differences(x: np.ndarray, y: np.ndarray):
+    """([x[:, k] - y[:, k] for each k], r), all (len(x), len(y)) arrays."""
+    diff = [x[:, k, None] - y[None, :, k] for k in range(x.shape[1])]
+    r = diff[0] * diff[0]
+    for dk in diff[1:]:
+        r += dk * dk
+    return diff, np.sqrt(r, out=r)
 
 
 def distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """r with r[i, j] = |x_i - y_j|."""
-    return _lengths(x[:, None, :] - y[None, :, :])
+    return _differences(x, y)[1]
 
 
 def blocks(x: np.ndarray):
@@ -36,16 +43,15 @@ def blocks(x: np.ndarray):
 class SelfBlock:
     """Rows i0:stop of a point set x against all of x.
 
-    `rmin` is the smallest distance between distinct points in the block.
-    Self-distances are stored as 1.0 so kernels never see them; the sums
-    below leave the self-pairs out.
+    `diff[k]` holds x_ik - x_jk and `rmin` is the smallest distance between
+    distinct points in the block.  Self-distances are stored as 1.0 so
+    kernels never see them; the sums below leave the self-pairs out.
     """
 
     __slots__ = ("diff", "r", "rmin", "_self")
 
     def __init__(self, x: np.ndarray, i0: int = 0, stop: int | None = None):
-        self.diff = x[i0:stop, None, :] - x[None, :, :]
-        self.r = _lengths(self.diff)
+        self.diff, self.r = _differences(x[i0:stop], x)
         rows = np.arange(len(self.r))
         self._self = (rows, i0 + rows)
         self.r[self._self] = np.inf
@@ -68,9 +74,8 @@ class SelfBlock:
     def forces(self, derivative) -> np.ndarray:
         """sum_{j != i} derivative(r_ij) (x_i - x_j) / r_ij for each row i, the
         force sum when `derivative` is W'; needs rmin > 0."""
-        slope = np.asarray(derivative(self.r), dtype=float) / self.r
-        slope[self._self] = 0.0
-        return np.einsum("ij,ijk->ik", slope, self.diff)
+        slope = self._values(lambda r: derivative(r) / r)
+        return np.stack([np.add.reduce(slope * dk, axis=1) for dk in self.diff], axis=1)
 
 
 def self_blocks(x: np.ndarray):

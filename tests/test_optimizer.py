@@ -40,6 +40,32 @@ def four_point_oracle_energy():
     return best
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 10])
+def test_lbfgs_direction_is_dense_inverse_bfgs(m):
+    """The two-loop recursion equals -H g for the dense recursion
+    H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T over the pairs."""
+    rng = np.random.default_rng(m)
+    n, scale = 12, 0.37
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    curvature = q @ np.diag(rng.uniform(0.5, 4.0, n)) @ q.T
+    memory = []
+    for _ in range(m):
+        s = rng.normal(size=n)
+        y = curvature @ s + 0.1 * rng.normal(size=n)
+        assert s @ y > 0
+        memory.append((s, y, 1.0 / (s @ y)))
+    eye = np.eye(n)
+    h = (memory[-1][0] @ memory[-1][1]) / (memory[-1][1] @ memory[-1][1]) * eye \
+        if memory else scale * eye
+    for s, y, rho in memory:
+        h = (eye - rho * np.outer(s, y)) @ h @ (eye - rho * np.outer(y, s)) \
+            + rho * np.outer(s, s)
+    g = rng.normal(size=n)
+    want = -h @ g
+    got = opt._lbfgs_direction(g, memory, scale)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
 class TestMinimizeLocal:
     def test_two_points_far_apart(self):
         x0 = cfg.Configuration([[0.0, 0.0], [3.0, 0.0]])
@@ -98,6 +124,11 @@ class TestMinimizeLocal:
         x0 = cfg.Configuration([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(cfg.ConfigurationError):
             opt.minimize_local(spec, x0, opt.OptimOpts(seed=0))
+
+    def test_rejects_potential_of_other_dimension(self):
+        x0 = cfg.Configuration(np.random.default_rng(3).normal(size=(5, 3)))
+        with pytest.raises(pot.PotentialError, match="dimension 2 != configuration"):
+            opt.minimize_local(MORSE, x0, opt.OptimOpts())
 
     def test_singular_descent_respects_pair_guard(self):
         rng = np.random.default_rng(11)

@@ -8,12 +8,13 @@ import pytest
 
 from pairenergy import configuration as cfg
 from pairenergy import measures as mea
+from pairenergy import pairs
 from pairenergy import potentials as pot
 
-MORSE = pot.Morse(2, 1.0, 0.5, 1.0, 1.0)
-PL21 = pot.PowerLaw(2, 2.0, 1.0)
-MORSE_W0_1 = pot.Morse(2, 2.0, 0.5, 1.0, 1.0)   # W(0) = 1; MORSE and PL21 have W(0) = 0
+MORSE_W0_1 = pot.Morse(2, 2.0, 0.5, 1.0, 1.0)   # W(0) = 1; FAMILIES have W(0) = 0
 SINGULAR = pot.PowerLaw(3, 4.0, -0.5)           # b < 0 needs d >= 3
+FAMILIES = {"morse": lambda d: pot.Morse(d, 1.0, 0.5, 1.0, 1.0),
+            "power_law": lambda d: pot.PowerLaw(d, 2.0, 1.0)}
 
 REL = 1e-12   # of the sum of the absolute values of the terms
 
@@ -38,10 +39,17 @@ def spread_points(n, d, seed):
     return rng.uniform(-1.0, 1.0, size=(n, d)) * 0.5 * n ** (1.0 / d)
 
 
-@pytest.mark.parametrize("spec", [MORSE, PL21], ids=["morse", "power_law"])
-@pytest.mark.parametrize("n", [511, 512, 513, 1100])
-def test_sums_across_row_blocks(spec, n):
-    pts = spread_points(n, 2, n)
+# d = 2 at every n; the other dimensions on both sides of the 512-row block edge
+SUM_CASES = [(n, name, 2) for n in (511, 512, 513, 1100) for name in FAMILIES] \
+    + [(n, name, d) for d in (1, 3, 5) for n in (511, 513) for name in FAMILIES]
+
+
+@pytest.mark.parametrize("n, family, d", SUM_CASES,
+                         ids=[f"{n}-{name}" + (f"-d{d}" if d != 2 else "")
+                              for n, name, d in SUM_CASES])
+def test_sums_across_row_blocks(n, family, d):
+    spec = FAMILIES[family](d)
+    pts = spread_points(n, d, n)
     X = cfg.Configuration(pts)
     energy = cfg.discrete_energy(spec, X)
     potentials = cfg.per_particle_potentials(spec, X)
@@ -52,12 +60,27 @@ def test_sums_across_row_blocks(spec, n):
         all_w.extend(w)
         dists.append(r)
         assert close(potentials[i], w, 1.0 / n)
-        for k in range(2):
+        for k in range(d):
             assert close(forces[i, k], f[:, k], 1.0 / n)
     assert close(energy, all_w, 1.0 / (2.0 * n * n))
     dists = np.concatenate(dists)
     assert cfg.diameter(X) == pytest.approx(dists.max(), rel=REL)
     assert cfg.min_pair_distance(X) == pytest.approx(dists.min(), rel=REL)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_one_r2_rule(d):
+    """distances, SelfBlock, diameter and min_pair_distance share their bits."""
+    n = 600
+    pts = spread_points(n, d, 30 + d)
+    r = pairs.distances(pts, pts)
+    off = ~np.eye(n, dtype=bool)
+    assert np.array_equal(pairs.SelfBlock(pts).r[off], r[off])
+    rows = np.concatenate([blk.r for blk in pairs.self_blocks(pts)])
+    assert np.array_equal(rows[off], r[off])
+    X = cfg.Configuration(pts)
+    assert cfg.min_pair_distance(X) == r[off].min()
+    assert cfg.diameter(X) == r.max()
 
 
 def test_coincident_pair_in_different_blocks():
