@@ -16,8 +16,6 @@ import os
 import warnings
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import coo_matrix
 
 from . import pairs
 from .configuration import Configuration, discrete_energy
@@ -69,7 +67,7 @@ class AtomicMeasure:
         if np.any(w < 0):
             raise MeasureError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > _MASS_TOL:
-            raise MeasureError(f"weights must sum to 1 (got {w.sum()!r})")
+            raise MeasureError(f"weights must sum to 1 (got {float(w.sum())!r})")
         pts.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -117,7 +115,7 @@ class GridDensity:
         if np.any(m < 0) or not np.all(np.isfinite(m)):
             raise MeasureError("cell masses must be finite and nonnegative")
         if abs(m.sum() - 1.0) > _MASS_TOL:
-            raise MeasureError(f"cell masses must sum to 1 (got {m.sum()!r})")
+            raise MeasureError(f"cell masses must sum to 1 (got {float(m.sum())!r})")
         for arr in (lo, hi, m):
             arr.setflags(write=False)
         object.__setattr__(self, "lo", lo)
@@ -163,6 +161,8 @@ class GridDensity:
             mass_path = os.path.join(os.path.dirname(str(path)), head["mass_csv"])
             masses = np.loadtxt(mass_path, dtype=float).reshape(-1)
             return cls(head["lo"], head["hi"], head["resolution"], masses)
+        except MeasureError:
+            raise   # the constructor's own message needs no wrapping
         except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
             raise MeasureError(f"malformed grid density {path}: {exc!r}") from exc
 
@@ -341,6 +341,8 @@ def _w1_1d(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
 
 
 def _w1_assignment(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
+    from scipy.optimize import linear_sum_assignment   # here, so the package loads no scipy
+
     cost = pairs.distances(mu.points, nu.points)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum()) / mu.n_atoms
@@ -359,6 +361,9 @@ def _quantise(mu: AtomicMeasure) -> AtomicMeasure:
 
 
 def _w1_lp(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
+    from scipy.optimize import linprog   # here, so the package loads no scipy
+    from scipy.sparse import coo_matrix
+
     n, m = mu.n_atoms, nu.n_atoms
     cost = pairs.distances(mu.points, nu.points).reshape(-1)
     # variable i*m + j carries plan entry (i, j): it sits in source row i and

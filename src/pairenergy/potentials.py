@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 
 class PotentialError(ValueError):
@@ -248,6 +247,36 @@ _RULE = (8, 16)
 _BALL_VALUES = 1 << 14
 
 
+def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss rule for the weight
+    (1 - x)^alpha (1 + x)^beta on [-1, 1], alpha, beta > -1.
+
+    The nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix
+    of the monic three-term recurrence, and the weights are mu0 times the
+    squared first components of its eigenvectors (Golub & Welsch 1969).  For
+    alpha = beta the rule is mirrored to be exactly symmetric, and for
+    alpha = beta = -1/2 it is the closed-form Chebyshev rule, weights pi/n.
+    """
+    if alpha == beta == -0.5:
+        x = np.sin(np.pi * np.arange(1 - n, n, 2) / (2 * n))
+        return (x - x[::-1]) / 2, np.full(n, np.pi / n)
+    ab = alpha + beta   # one rounding, so ab + 2 is exact near ab = -2
+    k = np.arange(1.0, n)
+    s = 2 * k + ab
+    diag = np.empty(n)
+    diag[0] = (beta - alpha) / (ab + 2)
+    diag[1:] = (beta - alpha) * ab / (s * (s + 2))
+    off2 = 4 * k * (k + alpha) * (k + beta) / (s * s * (s + 1))
+    # times (k + ab) / (s - 1), which is 1 at k = 1, its limit at ab = -1
+    off2[1:] *= (k[1:] + ab) / (s[1:] - 1)
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(np.sqrt(off2), -1))
+    w = v[0] ** 2
+    if alpha == beta:
+        x, w = (x - x[::-1]) / 2, (w + w[::-1]) / 2
+    mu0 = 2.0 ** (ab + 1) * math.gamma(alpha + 1) * math.gamma(beta + 1) / math.gamma(ab + 2)
+    return x, mu0 * w
+
+
 @lru_cache(maxsize=32)
 def _ball_rule(d: int, n_radial: int, n_axial: int) -> tuple[np.ndarray, ...]:
     """Gauss product rule for the average over p uniform in the unit ball of
@@ -257,19 +286,22 @@ def _ball_rule(d: int, n_radial: int, n_axial: int) -> tuple[np.ndarray, ...]:
     |z + eps p|^2 = (|z| + eps R T)^2 + eps^2 R^2 (1 - T^2), so the average is
     a 2-D integral.  R has density d r^(d-1) on [0, 1] (Gauss-Jacobi nodes).
     T has density proportional to (1 - t^2)^((d-3)/2) on [-1, 1]
-    (Gauss-Gegenbauer nodes) for d >= 2 and is +-1 with weight 1/2 for d = 1.
+    (Gauss-Gegenbauer nodes; the Chebyshev rule in d = 2) for d >= 2 and is
+    +-1 with weight 1/2 for d = 1.  Both rules come from _gauss_jacobi.
     Returns the axial parts R T, the transverse parts R sqrt(1 - T^2) and the
-    weights, which sum to 1.
+    weights, whose floating-point sum is exactly 1 (the rounding left over is
+    folded into the largest weight).
     """
-    x, w_radius = roots_jacobi(n_radial, 0.0, d - 1.0)
+    x, w_radius = _gauss_jacobi(n_radial, 0.0, d - 1.0)
     radius = (1.0 + x) / 2.0
     if d == 1:
         cosine, w_cosine = np.array([-1.0, 1.0]), np.array([1.0, 1.0])
     else:
-        cosine, w_cosine = roots_jacobi(n_axial, (d - 3.0) / 2.0, (d - 3.0) / 2.0)
+        cosine, w_cosine = _gauss_jacobi(n_axial, (d - 3.0) / 2.0, (d - 3.0) / 2.0)
     axial = np.outer(radius, cosine).ravel()
     transverse = np.outer(radius, np.sqrt(1.0 - cosine**2)).ravel()
     w = np.outer(w_radius / w_radius.sum(), w_cosine / w_cosine.sum()).ravel()
+    w[np.argmax(w)] += 1.0 - w.sum()
     return axial, transverse, w
 
 
@@ -279,23 +311,27 @@ def _ball_deviation(fn, r, eps: float, d: int) -> np.ndarray:
 
     The ball average is the Gauss rule of _ball_rule, evaluated in chunks of
     at most _BALL_VALUES kernel values.  Each radius is reduced on its own
-    row, so its value does not depend on where the chunks fall.
+    row, so its value does not depend on where the chunks fall.  The rule
+    averages k - k(z), not k, so a constant kernel gives exactly 0.
     """
     axial, transverse, w = _ball_rule(d, *_RULE)
     axial = eps * axial
     transverse = (eps * transverse) ** 2
     r = np.asarray(r, dtype=float)
     flat = r.ravel()
-    avg = np.empty(len(flat))
+    centre = np.asarray(fn(flat), dtype=float)
+    dev = np.empty(len(flat))
     step = max(1, _BALL_VALUES // len(w))
+    vals = np.empty((min(step, len(flat)), len(w)))
     for i0 in range(0, len(flat), step):
         radii = flat[i0:i0 + step, None] + axial
         radii *= radii
         radii += transverse
         np.sqrt(radii, out=radii)
-        avg[i0:i0 + step] = (np.asarray(fn(radii), dtype=float) * w).sum(axis=1)
-    centre = np.asarray(fn(flat), dtype=float)
-    return (2.0 * (d + 2.0) / eps**2 * (avg - centre)).reshape(r.shape)
+        rows = vals[:len(radii)]
+        np.subtract(fn(radii), centre[i0:i0 + step, None], out=rows)
+        dev[i0:i0 + step] = np.einsum("ij,j->i", rows, w)
+    return (2.0 * (d + 2.0) / eps**2 * dev).reshape(r.shape)
 
 
 def approximate_laplacian(spec: PotentialSpec, x, eps: float) -> float:

@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -317,6 +320,28 @@ def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys,
     assert run(command, cfg, tmp_path / "out") == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out" / "run_record.json").exists()
+
+
+
+def test_grid_file_mass_error_is_one_plain_message(tmp_path, capsys):
+    # the constructor's MeasureError reaches the user as it is, with the mass
+    # sum as a plain float
+    mea.uniform_box(1, 1.0, 4).save(tmp_path / "rho.json")
+    (tmp_path / "rho.json.masses.csv").write_text("1\n1\n1\n1\n")
+    cfg = write_config(tmp_path, "c.json",
+                       dict(RECOVER_1D, measure={"grid_file": str(tmp_path / "rho.json")}))
+    assert run("recover", cfg, tmp_path / "out") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: cell masses must sum to 1 (got 4.0)\n"
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only where W1 needs it, so starting the CLI skips it
+    code = ("import sys, pairenergy.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 # Valid, small configs of every command.  File names resolve against the test's

@@ -3,7 +3,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pairenergy import configuration as cfg
@@ -270,6 +270,13 @@ class TestApproximateLaplacian:
                                 np.linalg.norm([0.3, -0.2]), 0.1, 2)
         assert v == 0.0
 
+    @pytest.mark.parametrize("c", [7.25, 1.0])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8])
+    def test_constant_kernel_gives_zero_in_every_dimension(self, d, c):
+        v = pot._ball_deviation(lambda r: np.full_like(r, c),
+                                np.array([0.0, 0.36, 1.3, 40.0]), 0.1, d)
+        assert np.all(v == 0.0)
+
     def test_power_law_matches_analytic(self):
         # Laplacian of r^2/2 - r in d dims is d - (d-1)/r
         spec = pot.PowerLaw(3, 2.0, 1.0)
@@ -304,6 +311,74 @@ class TestApproximateLaplacian:
             x = r * u / np.linalg.norm(u)
             v = pot.approximate_laplacian(spec, x, r / 10.0)
             assert -v >= 0.9 * c * r ** (-beta)
+
+
+
+def _jacobi_moments(k_max, alpha, beta):
+    """int x^k (1-x)^alpha (1+x)^beta dx over [-1, 1] for k <= k_max.
+
+    m_0 = 2^(a+b+1) B(a+1, b+1) comes from math.lgamma.  Integrating the
+    derivative of x^k (1-x)^(a+1) (1+x)^(b+1) by parts gives
+    (k+a+b+2) m_(k+1) = k m_(k-1) + (b-a) m_k, whose two terms have the same
+    sign, so every moment keeps the relative accuracy of m_0.
+    """
+    ab = alpha + beta
+    m = [math.exp((ab + 1) * math.log(2.0) + math.lgamma(alpha + 1)
+                  + math.lgamma(beta + 1) - math.lgamma(ab + 2))]
+    m.append(m[0] * (beta - alpha) / (ab + 2))
+    for k in range(1, k_max):
+        m.append((k * m[k - 1] + (beta - alpha) * m[k]) / (k + ab + 2))
+    return m
+
+
+# the two rules of _ball_rule in dimension d; d = 1 has no axial rule
+BALL_RULES = [(8, 0.0, d - 1.0) for d in (1, 2, 3, 4, 5, 8)] \
+    + [(16, (d - 3) / 2, (d - 3) / 2) for d in (2, 3, 4, 5, 8)]
+JACOBI_PARAM = st.floats(-1.0, 4.0, exclude_min=True)
+
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("n, alpha, beta", BALL_RULES,
+                             ids=[f"{n}-{a:g}-{b:g}" for n, a, b in BALL_RULES])
+    def test_matches_scipy(self, n, alpha, beta):
+        from scipy.special import roots_jacobi   # the former rule, as an oracle
+
+        x, w = pot._gauss_jacobi(n, alpha, beta)
+        x_ref, w_ref = roots_jacobi(n, alpha, beta)
+        assert np.max(np.abs(x - x_ref)) <= 1e-15
+        assert np.max(np.abs(w - w_ref) / w_ref) <= 1e-13
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 20),
+           params=st.one_of(st.tuples(JACOBI_PARAM, JACOBI_PARAM),
+                            st.floats(-1.0, 0.0, exclude_min=True, exclude_max=True)
+                            .map(lambda a: (a, -1.0 - a))))
+    @example(n=16, params=(-0.5, -0.5))   # the Chebyshev closed form
+    @example(n=8, params=(0.0, 7.0))      # the radial rule in d = 8
+    def test_exact_to_degree_2n_minus_1(self, n, params):
+        # |Q(x^k) - m_k| within 1e-12 of Q(|x|^k), which is Q(x^k) for even k
+        alpha, beta = params
+        assume(beta > -1.0)   # -1 - alpha rounds to -1 for alpha near 0
+        x, w = pot._gauss_jacobi(n, alpha, beta)
+        for k, m_k in enumerate(_jacobi_moments(2 * n - 1, alpha, beta)):
+            assert abs(w @ x**k - m_k) <= 1e-12 * (w @ np.abs(x) ** k), k
+
+    @pytest.mark.parametrize("n", [3, 16])
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 2.5])
+    def test_symmetric_rule_is_exactly_symmetric(self, alpha, n):
+        x, w = pot._gauss_jacobi(n, alpha, alpha)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+    @pytest.mark.parametrize("n", [3, 16])
+    def test_chebyshev_rule_is_closed_form(self, n):
+        x, w = pot._gauss_jacobi(n, -0.5, -0.5)
+        assert np.all(w == np.pi / n)
+        assert np.allclose(x, np.cos((2 * np.arange(n, 0, -1) - 1) * np.pi / (2 * n)),
+                           rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8])
+    def test_ball_rule_weights_sum_to_one(self, d):
+        assert pot._ball_rule(d, *pot._RULE)[2].sum() == 1.0
 
 
 class TestBallDeviationSums:
