@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import warnings
+import sys
 
 import numpy as np
 
@@ -22,10 +22,11 @@ from .configuration import Configuration, discrete_energy
 from .potentials import PotentialError, PotentialSpec
 
 _MASS_TOL = 1e-12
-# Cap on the cells of a built grid and on the difference vectors of one
-# refinement level of continuum_energy_grid, checked before allocating.  With
-# the default 3 levels the deepest level needs 2,996,433 vectors in d = 4,
-# while d = 5 needs 16 to 19 million at the second level already.
+# Cap on the cells of a built grid, on the difference vectors of one
+# refinement level of continuum_energy_grid and on the cells of a transport
+# cost matrix, checked before allocating.  With the default 3 levels the
+# deepest level needs 2,996,433 vectors in d = 4, while d = 5 needs 16 to 19
+# million at the second level already.
 _MAX_GRID_VECTORS = 4_000_000
 # Relative slack of the near-offset test of continuum_energy_grid.  A tie
 # (sum v_i^2 = d t^2 on cubic cells) must count as near whatever the last bits
@@ -34,8 +35,10 @@ _MAX_GRID_VECTORS = 4_000_000
 # relative gap of a non-tie on cubic cells, 1 / (d t^2) (about 2e-4 in d = 5
 # at 3 levels), so on cubic cells it decides exactly as integers would.
 _NEAR_SLACK = 1e-12
-# Atoms a measure keeps before the transport LP of wasserstein1.
-_MAX_ATOMS = 512
+# Rows of the cost matrix that the transport simplex prices at once.
+_PRICING_ROWS = 4
+# The transport simplex gives up after this many pivots per node.
+_PIVOTS_PER_NODE = 100
 
 
 class MeasureError(ValueError):
@@ -43,7 +46,8 @@ class MeasureError(ValueError):
 
 
 class TransportQuantisationWarning(UserWarning):
-    """A transport input was truncated to the atom cap before the exact solve."""
+    """Never raised: wasserstein1 is exact.  The benchmark's tracer still
+    looks the name up."""
 
 
 # --------------------------------------------------------------------------
@@ -154,17 +158,41 @@ class GridDensity:
 
     @classmethod
     def load(cls, path) -> "GridDensity":
-        """Read what `save` wrote; malformed content raises MeasureError."""
-        try:
-            with open(path) as fh:
+        """Read what `save` wrote; malformed content raises MeasureError with
+        a message that names the file and the key."""
+        with open(path) as fh:
+            try:
                 head = json.load(fh)
-            mass_path = os.path.join(os.path.dirname(str(path)), head["mass_csv"])
+            except json.JSONDecodeError as exc:
+                raise MeasureError(f"grid density {path}: not a JSON file: {exc}") from None
+        if not isinstance(head, dict):
+            raise MeasureError(f"grid density {path}: the header must be a JSON object")
+        keys = ("d", "lo", "hi", "resolution", "mass_csv")
+        for key in keys:
+            if key not in head:
+                raise MeasureError(f"grid density {path}: missing key {key!r}")
+        unknown = sorted(set(head) - set(keys))
+        if unknown:
+            raise MeasureError(f"grid density {path}: unknown key {unknown[0]!r}")
+        for key in ("d", "resolution"):
+            if not isinstance(head[key], int) or isinstance(head[key], bool) or head[key] < 1:
+                raise MeasureError(f"grid density {path}: {key} must be an integer >= 1")
+        for key in ("lo", "hi"):
+            box = head[key]
+            if not (isinstance(box, list) and len(box) == head["d"] and all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and abs(v) <= sys.float_info.max for v in box)):
+                raise MeasureError(f"grid density {path}: {key} must be a list of d "
+                                   "finite numbers")
+        if not isinstance(head["mass_csv"], str):
+            raise MeasureError(f"grid density {path}: mass_csv must be a file name string")
+        mass_path = os.path.join(os.path.dirname(str(path)), head["mass_csv"])
+        try:
             masses = np.loadtxt(mass_path, dtype=float).reshape(-1)
-            return cls(head["lo"], head["hi"], head["resolution"], masses)
-        except MeasureError:
-            raise   # the constructor's own message needs no wrapping
-        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
-            raise MeasureError(f"malformed grid density {path}: {exc!r}") from exc
+        except ValueError as exc:
+            raise MeasureError(f"grid density {path}: {head['mass_csv']} must hold one "
+                               f"number per line: {exc}") from None
+        return cls(head["lo"], head["hi"], head["resolution"], masses)
 
 
 # --------------------------------------------------------------------------
@@ -340,55 +368,168 @@ def _w1_1d(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     return float(np.sum(np.abs(fmu[:-1] - fnu[:-1]) * np.diff(ts)))
 
 
-def _w1_assignment(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
-    from scipy.optimize import linear_sum_assignment   # here, so the package loads no scipy
+class _Basis:
+    """A spanning-tree basis of the transport problem from a to b.
 
-    cost = pairs.distances(mu.points, nu.points)
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum()) / mu.n_atoms
+    Nodes 0..n-1 are the rows (the atoms of a) and n..n+m-1 the columns; a
+    basis is a tree of n + m - 1 cells rooted at the first column.  Each node
+    keeps its parent, the flow of its cell to the parent, its depth and its
+    children, and `pot` holds the potentials u_i, v_j with u_i + v_j = c_ij
+    on every tree cell.
+
+    The start is the north-west-corner rule, each new cell hanging a new row
+    or column from the current one.  A row is left on a tie, so a zero-flow
+    cell only ever hangs a row from a column; the weights are positive and
+    the last row and column take the remainders, so no flow is negative.
+    Such a tree is strongly feasible (Cunningham 1976), and `pivot` keeps it
+    so, which rules out cycling.
+    """
+
+    def __init__(self, cost: np.ndarray, a: np.ndarray, b: np.ndarray):
+        n, m = cost.shape
+        self.cost, self.n = cost, n
+        self.parent, self.flow, self.depth = [-1] * (n + m), [0.0] * (n + m), [0] * (n + m)
+        self.children = [[] for _ in self.parent]
+        self.parent[0], self.depth[0], self.children[n] = n, 1, [0]
+        i = j = node = 0    # node: the row or column that cell (i, j) hangs
+        s, t = a[0], b[0]
+        while True:
+            x = max(t, 0.0) if i == n - 1 else s if j == m - 1 else min(s, t)
+            self.flow[node] = x
+            if i == n - 1 and j == m - 1:
+                break
+            s, t = s - x, t - x
+            if j == m - 1 or (i < n - 1 and s <= t):
+                i += 1
+                node, up, s = i, n + j, a[i]
+            else:
+                j += 1
+                node, up, t = n + j, i, b[j]
+            self.parent[node], self.depth[node] = up, self.depth[up] + 1
+            self.children[up].append(node)
+        self.side = np.concatenate([np.ones(n), -np.ones(m)])   # u and v shift apart
+        self.pot = self.potentials()
+
+    def cell(self, x: int) -> tuple[int, int]:
+        """(row, column) of the cell from node x to its parent."""
+        p = self.parent[x]
+        return (x, p - self.n) if x < self.n else (p, x - self.n)
+
+    def potentials(self) -> np.ndarray:
+        """The potentials recomputed from the tree, 0 at the root."""
+        pot = np.zeros(len(self.parent))
+        for x in sorted(range(len(self.parent)), key=self.depth.__getitem__)[1:]:
+            pot[x] = self.cost[self.cell(x)] - pot[self.parent[x]]
+        return pot
+
+    def pivot(self, i: int, j: int, rc: float):
+        """Bring cell (i, j), whose reduced cost rc is negative, into the basis;
+        j is a column node."""
+        n, parent, flow, depth, children = self.n, self.parent, self.flow, self.depth, \
+            self.children
+        # the cycle: cell (i, j) and the tree paths from i and j to their apex
+        p, q, up_i, up_j = i, j, [], []
+        while p != q:
+            if depth[p] >= depth[q]:
+                up_i.append(p)
+                p = parent[p]
+            else:
+                up_j.append(q)
+                q = parent[q]
+        # flow goes apex -> i -> j -> apex: a cell loses it where its child is
+        # a row on the side of i or a column on the side of j.  Cunningham's
+        # rule: the last blocking cell met from the apex leaves.
+        lose_i = [x for x in up_i if x < n]
+        lose_j = [x for x in up_j if x >= n]
+        delta = min(flow[x] for x in lose_i + lose_j)
+        blocking = [x for x in lose_j if flow[x] == delta]
+        if blocking:
+            out, path, enter, other = blocking[-1], up_j, j, i
+        else:
+            out = next(x for x in lose_i if flow[x] == delta)
+            path, enter, other = up_i, i, j
+        for x in up_i:
+            flow[x] += -delta if x < n else delta
+        for x in up_j:
+            flow[x] += delta if x < n else -delta
+        # cut the leaving cell, reverse the path enter..out, hang it from other
+        children[parent[out]].remove(out)
+        seg = path[:path.index(out) + 1]
+        for y, x in zip(seg[-2::-1], seg[:0:-1]):
+            children[x].remove(y)
+            children[y].append(x)
+            parent[x], flow[x] = y, flow[y]
+        parent[enter], flow[enter] = other, delta
+        children[other].append(enter)
+        # the cut-off subtree gets new depths, and its potentials shift so
+        # that u_i + v_j = c_ij on the entering cell
+        sub = [enter]
+        for x in sub:       # parents first, as the list grows
+            depth[x] = depth[parent[x]] + 1
+            sub.extend(children[x])
+        self.pot[sub] += (rc if enter < n else -rc) * self.side[sub]
 
 
-def _quantise(mu: AtomicMeasure) -> AtomicMeasure:
-    if mu.n_atoms <= _MAX_ATOMS:
-        return mu
-    warnings.warn(f"measure truncated from {mu.n_atoms} to {_MAX_ATOMS} atoms "
-                  "before the exact transport solve", TransportQuantisationWarning,
-                  stacklevel=3)
-    keep = np.argsort(-mu.weights, kind="stable")[:_MAX_ATOMS]
-    keep = np.sort(keep)
-    w = mu.weights[keep]
-    return AtomicMeasure(mu.points[keep], w / w.sum())
+def _w1_simplex(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
+    """Exact W1 by the primal transportation simplex on spanning-tree bases.
 
-
-def _w1_lp(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
-    from scipy.optimize import linprog   # here, so the package loads no scipy
-    from scipy.sparse import coo_matrix
-
-    n, m = mu.n_atoms, nu.n_atoms
-    cost = pairs.distances(mu.points, nu.points).reshape(-1)
-    # variable i*m + j carries plan entry (i, j): it sits in source row i and
-    # in target row n + j, except for j = m - 1, whose constraint is redundant
-    var = np.arange(n * m)
-    target = var[var % m < m - 1]
-    rows = np.concatenate([var // m, n + target % m])
-    cols = np.concatenate([var, target])
-    a_eq = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + m - 1, n * m))
-    b_eq = np.concatenate([mu.weights, nu.weights[:-1]])
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm")
-    if not res.success:
-        raise MeasureError(f"transport LP failed: {res.message}")
-    return float(res.fun)
+    Both measures are sorted by their projection on (1, ..., 1), so the
+    north-west-corner start is the monotone coupling of those projections.
+    Pricing takes the most negative reduced cost c_ij - u_i - v_j of the
+    first block of _PRICING_ROWS rows that has one below -1e-11 of the
+    largest cost, going on from the block after the last pivot's.  When no
+    block has one, the potentials are recomputed from the tree and every
+    cell is priced again.  The primal cost is certified by the dual
+    sum_i a_i u_i + sum_j b_j v_j agreeing with it to 1e-12 of the largest
+    cost.  Atoms of zero weight are dropped first.
+    """
+    sorted_atoms = []
+    for meas in (mu, nu):
+        keep = np.flatnonzero(meas.weights > 0)
+        keep = keep[np.argsort(meas.points[keep].sum(axis=1), kind="stable")]
+        w = meas.weights[keep]
+        sorted_atoms.append((meas.points[keep], w / w.sum()))
+    (xa, a), (xb, b) = sorted_atoms
+    cost = pairs.distances(xa, xb)
+    n, m = cost.shape
+    scale = float(cost.max())
+    tol = 1e-11 * scale
+    basis = _Basis(cost, a, b)
+    u, v = basis.pot[:n], basis.pot[n:]
+    starts = range(0, n, _PRICING_ROWS)
+    block, idle, pivots, cap = 0, 0, 0, _PIVOTS_PER_NODE * (n + m)
+    while True:
+        while idle < len(starts):
+            r0 = starts[block]
+            block = (block + 1) % len(starts)
+            reduced = cost[r0:r0 + _PRICING_ROWS] - u[r0:r0 + _PRICING_ROWS, None] - v
+            k = int(reduced.argmin())
+            rc = float(reduced.flat[k])
+            if rc >= -tol:
+                idle += 1
+                continue
+            idle, pivots = 0, pivots + 1
+            if pivots > cap:
+                raise MeasureError(f"transport simplex did not finish in {cap} pivots")
+            basis.pivot(r0 + k // m, n + k % m, rc)
+        basis.pot[:] = basis.potentials()
+        if float((cost - u[:, None] - v).min()) >= -tol:
+            break
+        idle = 0
+    primal = math.fsum(basis.flow[x] * cost[basis.cell(x)] for x in range(n + m) if x != n)
+    dual = float(a @ u + b @ v)
+    if abs(primal - dual) > 1e-12 * scale:
+        raise MeasureError(f"transport simplex primal {primal!r} and dual {dual!r} differ")
+    return primal
 
 
 def wasserstein1(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
-    """Wasserstein-1 distance between atomic measures, exact in d = 1, between
-    equal-weight measures of equal size, and up to `_MAX_ATOMS` atoms each.
+    """Exact Wasserstein-1 distance between atomic measures.
 
-    d = 1 uses the quantile (CDF) coupling; equal-weight equal-count inputs
-    use an exact optimal assignment; anything else is solved as a transport
-    LP by the HiGHS interior-point method, after a measure above `_MAX_ATOMS`
-    atoms is truncated to its `_MAX_ATOMS` heaviest atoms (renormalised, with
-    a TransportQuantisationWarning), so the result is then not exact.
+    d = 1 uses the quantile (CDF) coupling; d >= 2 solves the transport
+    problem with the transportation simplex of _w1_simplex, in the memory of
+    its n x m cost matrix.  Above _MAX_GRID_VECTORS cells that matrix is
+    refused with MeasureError before it is allocated.
     """
     if mu.dim != nu.dim:
         raise MeasureError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
@@ -399,10 +540,7 @@ def wasserstein1(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
         mu, nu = nu, mu
     if mu.dim == 1:
         return _w1_1d(mu, nu)
-    if mu.n_atoms == nu.n_atoms \
-            and np.all(mu.weights == mu.weights[0]) \
-            and np.all(nu.weights == nu.weights[0]):
-        return _w1_assignment(mu, nu)
-    mu = _quantise(mu)
-    nu = _quantise(nu)
-    return _w1_lp(mu, nu)
+    if mu.n_atoms * nu.n_atoms > _MAX_GRID_VECTORS:
+        raise MeasureError(f"a transport cost matrix of {mu.n_atoms} x {nu.n_atoms} "
+                           f"cells is above the cap of {_MAX_GRID_VECTORS} cells")
+    return _w1_simplex(mu, nu)

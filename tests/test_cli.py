@@ -334,14 +334,64 @@ def test_grid_file_mass_error_is_one_plain_message(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: cell masses must sum to 1 (got 4.0)\n"
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h.pop("mass_csv"), "missing key 'mass_csv'"),
+    (lambda h: h.update(resolution="abc"), "resolution must be an integer >= 1"),
+    (lambda h: h.update(lo=["a", -1]), "lo must be a list of d finite numbers"),
+    (lambda h: h.update(mass_csv=5), "mass_csv must be a file name string"),
+    (None, "the header must be a JSON object"),
+], ids=["missing_mass_csv", "string_resolution", "string_lo", "integer_mass_csv",
+        "list_header"])
+def test_grid_file_header_error_is_one_plain_message(tmp_path, capsys, edit, message):
+    # every malformed header names the key at fault, with no Python repr
+    grid = tmp_path / "rho.json"
+    mea.uniform_box(2, 1.0, 4).save(grid)
+    head = json.loads(grid.read_text())
+    if edit is None:
+        head = [head["mass_csv"]]
+    else:
+        edit(head)
+    grid.write_text(json.dumps(head))
+    cfg = write_config(tmp_path, "c.json", {"potential": PL21_JSON, "N_list": [16],
+                                             "measure": {"grid_file": str(grid)}})
+    assert run("recover", cfg, tmp_path / "out") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: grid density {grid}: {message}\n"
+
+
+def test_recover_above_the_cost_matrix_cap_is_config_error(tmp_path, capsys):
+    # 4096 recovery particles against the 4096 cells of a 64 x 64 grid
+    cfg = write_config(tmp_path, "c.json", {
+        "potential": PL21_JSON, "N_list": [4096],
+        "measure": {"builtin": "uniform_box", "L": 1.0, "d": 2, "resolution": 64}})
+    assert run("recover", cfg, tmp_path / "out") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: a transport cost matrix of "
+                                       "4096 x 4096 cells is above the cap of 4000000 cells\n")
+
+
 def test_cli_import_loads_no_scipy():
-    # scipy is imported only where W1 needs it, so starting the CLI skips it
+    # the package imports no scipy
     code = ("import sys, pairenergy.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def test_planar_recover_loads_no_scipy(tmp_path):
+    # W1 in d = 2 with unequal weights (20 particles, 64 cells) runs in numpy
+    cfg = write_config(tmp_path, "c.json", {
+        "potential": PL21_JSON, "N_list": [20],
+        "measure": {"builtin": "uniform_box", "L": 1.0, "d": 2, "resolution": 8}})
+    code = ("import sys, pairenergy.cli as cli; "
+            f"assert cli.main(['recover', '--config', {cfg!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}]) == 0; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"
+    assert (tmp_path / "out" / "recover.csv").exists()
 
 
 # Valid, small configs of every command.  File names resolve against the test's

@@ -31,6 +31,19 @@ PLANAR_ATOMS = st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),
                                   st.floats(0.05, 1.0)), min_size=2, max_size=7)
 
 
+def linprog_w1(mu, nu):
+    """W1 as the transport LP, solved by HiGHS: the oracle of the simplex."""
+    from scipy.optimize import linprog
+
+    n, m = mu.n_atoms, nu.n_atoms
+    cost = np.linalg.norm(mu.points[:, None] - nu.points[None], axis=-1)
+    a_eq = np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))])
+    lp = linprog(cost.reshape(-1), A_eq=a_eq, b_eq=np.concatenate([mu.weights, nu.weights]),
+                 method="highs")
+    assert lp.success
+    return lp.fun
+
+
 def planar_measure(atoms):
     a = np.array(atoms)
     return mea.AtomicMeasure(a[:, :2], a[:, 2] / a[:, 2].sum())
@@ -268,15 +281,6 @@ class TestWasserstein:
             mea.wasserstein1(mea.AtomicMeasure([[0.0]], [1.0]),
                              mea.AtomicMeasure([[0.0, 0.0]], [1.0]))
 
-    def test_assignment_and_lp_agree(self):
-        rng = np.random.default_rng(21)
-        for _ in range(5):
-            mu = random_atoms(rng, 6, 2, equal=True)
-            nu = random_atoms(rng, 6, 2, equal=True)
-            a = mea._w1_assignment(mu, nu)
-            b = mea._w1_lp(mu, nu)
-            assert a == pytest.approx(b, abs=1e-9)
-
     def test_metric_axioms(self):
         rng = np.random.default_rng(22)
         for trial in range(100):
@@ -298,8 +302,8 @@ class TestWasserstein:
     @settings(max_examples=60, deadline=None)
     @given(PLANAR_ATOMS, PLANAR_ATOMS, PLANAR_ATOMS)
     def test_metric_axioms_unequal_weights_d2(self, a, b, c):
-        # the transport LP path, which test_metric_axioms and acceptance
-        # criterion 8(d) reach with unequal weights only in d = 1
+        # the transport simplex with unequal weights, which test_metric_axioms
+        # and acceptance criterion 8(d) reach only in d = 1
         mu, nu, la = (planar_measure(x) for x in (a, b, c))
         dmn = mea.wasserstein1(mu, nu)
         assert dmn == mea.wasserstein1(nu, mu)
@@ -309,13 +313,114 @@ class TestWasserstein:
         assert dmn >= means - 1e-9
         assert dmn <= mea.wasserstein1(mu, la) + mea.wasserstein1(la, nu) + 1e-9
 
-    def test_quantisation_warns(self):
-        rng = np.random.default_rng(23)
-        mu = random_atoms(rng, 600, 2)     # above the 512-atom cap
-        nu = random_atoms(rng, 4, 2)
-        with pytest.warns(mea.TransportQuantisationWarning):
-            v = mea.wasserstein1(mu, nu)
-        assert v > 0
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_linprog(self, data):
+        # lattice points (many tied costs), zero-weight atoms and single atoms
+        d = data.draw(st.integers(2, 3), label="d")
+
+        def measure(label):
+            n = data.draw(st.integers(1, 8), label=f"n_{label}")
+            pts = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                                     min_size=n, max_size=n), label=f"points_{label}")
+            w = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)
+                          .filter(any), label=f"weights_{label}")
+            return mea.AtomicMeasure(np.array(pts, dtype=float), np.array(w) / sum(w))
+
+        mu, nu = measure("mu"), measure("nu")
+        assert mea.wasserstein1(mu, nu) == pytest.approx(linprog_w1(mu, nu), rel=1e-9,
+                                                         abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 120])
+    def test_matches_assignment(self, n):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(n)
+        mu, nu = random_atoms(rng, n, 2, equal=True), random_atoms(rng, n, 2, equal=True)
+        cost = np.linalg.norm(mu.points[:, None] - nu.points[None], axis=-1)
+        rows, cols = linear_sum_assignment(cost)
+        assert mea.wasserstein1(mu, nu) == pytest.approx(cost[rows, cols].sum() / n,
+                                                         rel=1e-12)
+
+    def test_degenerate_lattice_terminates(self):
+        # an 8 x 8 lattice against the centres of its 2 x 2 blocks: every
+        # basis is highly degenerate and many costs tie
+        fine = mea.density_to_atoms(mea.uniform_box(2, 1.0, 8))
+        coarse = mea.density_to_atoms(mea.uniform_box(2, 1.0, 4))
+        lp = linprog_w1(fine, coarse)
+        assert mea.wasserstein1(fine, coarse) == pytest.approx(lp, rel=1e-12)
+        assert lp == pytest.approx(np.sqrt(2.0) / 8.0, rel=1e-12)   # each atom to its centre
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=9),
+           st.lists(st.integers(1, 4), min_size=1, max_size=9))
+    def test_north_west_start_is_strongly_feasible(self, wa, wb):
+        # tied cumulative masses make zero-flow cells; the flows carry both
+        # marginals
+        a, b = np.array(wa) / sum(wa), np.array(wb) / sum(wb)
+        n, m = len(a), len(b)
+        basis = mea._Basis(np.ones((n, m)), a, b)
+        assert_strongly_feasible(basis)
+        rows, cols = np.zeros(n), np.zeros(m)
+        for x in range(n + m):
+            if x != n:
+                i, j = basis.cell(x)
+                rows[i] += basis.flow[x]
+                cols[j] += basis.flow[x]
+        assert rows == pytest.approx(a, abs=1e-15) and cols == pytest.approx(b, abs=1e-15)
+
+    def test_pivots_keep_the_tree_strongly_feasible(self, monkeypatch):
+        pivot, pivots = mea._Basis.pivot, []
+
+        def checked(basis, i, j, rc):
+            pivot(basis, i, j, rc)
+            assert_strongly_feasible(basis)
+            for x in range(len(basis.parent)):
+                if x != basis.n:
+                    row, col = basis.cell(x)
+                    assert basis.pot[row] + basis.pot[basis.n + col] \
+                        == pytest.approx(basis.cost[row, col], abs=1e-12)
+            pivots.append((i, j))
+
+        monkeypatch.setattr(mea._Basis, "pivot", checked)
+        rng = np.random.default_rng(26)
+        fine = mea.density_to_atoms(mea.uniform_box(2, 1.0, 8))
+        coarse = mea.density_to_atoms(mea.uniform_box(2, 1.0, 4))
+        lattice = [mea.AtomicMeasure(rng.integers(-2, 3, size=(k, 2)).astype(float), w / w.sum())
+                   for k, w in ((12, rng.integers(1, 4, 12)), (9, rng.integers(1, 4, 9)))]
+        for mu, nu in ((fine, coarse), lattice):
+            mea.wasserstein1(mu, nu)
+        assert len(pivots) > 50
+
+    def test_failures_raise(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        mu, nu = random_atoms(rng, 9, 2), random_atoms(rng, 7, 2)
+        monkeypatch.setattr(mea, "_PIVOTS_PER_NODE", 0)
+        with pytest.raises(mea.MeasureError, match="did not finish in 0 pivots"):
+            mea.wasserstein1(mu, nu)
+        monkeypatch.undo()
+        # a start that moves 1% too much mass: the dual cost cannot match
+        start = mea._Basis.__init__
+
+        def overfull(basis, cost, a, b):
+            start(basis, cost, a, b)
+            basis.flow[0] += 0.01
+
+        monkeypatch.setattr(mea._Basis, "__init__", overfull)
+        with pytest.raises(mea.MeasureError, match="primal .* and dual .* differ"):
+            mea.wasserstein1(mu, nu)
+
+
+def assert_strongly_feasible(basis):
+    """A tree rooted at the first column whose zero-flow cells each hang a
+    row from a column, so that every node can send flow to the root."""
+    n, parent, depth, flow = basis.n, basis.parent, basis.depth, basis.flow
+    assert [x for x, p in enumerate(parent) if p < 0] == [n]
+    for x, p in enumerate(parent):
+        if x != n:
+            assert (x < n) != (p < n) and depth[x] == depth[p] + 1
+            assert x in basis.children[p]
+            assert flow[x] > 0.0 or (flow[x] == 0.0 and x < n)
 
 
 class TestConversions:

@@ -122,6 +122,22 @@ class TestConvergenceReport:
         w1s = [r.w1 for r in rows]
         assert all(b <= 1.1 * a for a, b in zip(w1s, w1s[1:]))
 
+    def test_exact_w1_in_the_plane(self):
+        # 1296 particles, 1040 of them in the auxiliary cube, against the 256
+        # cells of the square; projections are 1-Lipschitz, so the W1 of the
+        # projections on any line is a lower bound
+        rho = mea.uniform_box(2, 1.0, 16)
+        (row,) = rec.recovery_convergence_report(pot.PowerLaw(2, 2.0, 1.0), rho, [1296])
+        assert row.w1 == pytest.approx(3.79252897968, rel=1e-9)
+        recovery = rec.build_recovery(rho, 1296)
+        assert recovery.N_e == 1040
+        x, atoms = recovery.config.points, mea.density_to_atoms(rho)
+        for theta in np.linspace(0.0, np.pi, 181):
+            e = np.array([np.cos(theta), np.sin(theta)])
+            lower = mea.wasserstein1(mea.AtomicMeasure(x @ e, np.full(1296, 1.0 / 1296)),
+                                     mea.AtomicMeasure(atoms.points @ e, atoms.weights))
+            assert row.w1 >= lower - 1e-12
+
     def test_regrids_per_n(self):
         # 63 cells: regridded to 64 for n = 2 (N = 16) and n = 4 (N = 256),
         # kept for n = 3 (N = 81)
