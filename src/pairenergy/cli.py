@@ -34,6 +34,7 @@ from . import diagnostics as diag
 from . import measures
 from . import potentials as pot
 from . import recovery
+from .checks import integer, real
 from .configuration import Configuration, ConfigurationError, diameter
 from .optimizer import OptimOpts, minimize_multistart
 from .svgplot import line_plot
@@ -64,23 +65,11 @@ def _require_keys(obj: dict, allowed: set, required: set, where: str):
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
 
-def _integer(v, where: str) -> int:
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise ConfigError(f"{where} must be an integer >= 1")
-    return v
-
-
-def _positive_number(v, where: str, below: float = math.inf) -> float:
-    if not (isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < below
-            and v <= sys.float_info.max):
-        raise ConfigError(f"{where} must be a number in (0, {below:g})")
-    return float(v)
-
-
 def _n_list(v) -> list:
+    """The N entries, checked here because sweep reads them between solves."""
     if not isinstance(v, list) or not v:
         raise ConfigError("N_list must be a nonempty list")
-    ns = [_integer(n, "N_list entry") for n in v]
+    ns = [integer(n, "N_list entry", ConfigError, minimum=2) for n in v]
     if len(set(ns)) != len(ns):
         raise ConfigError("N_list entries must be distinct")
     return ns
@@ -95,17 +84,19 @@ def _parse_optim(obj, seed: int) -> OptimOpts:
 
 
 def _parse_diag(obj, keys=("morrey_exponent", "lower_mass_radius", "eps_factors")) -> dict:
-    """build_report keywords from a `diagnostics` object with only `keys`."""
+    """build_report keywords from a `diagnostics` object with only `keys`,
+    checked here because they are read only after the solves."""
     if obj is None:
         return {}
     _require_keys(obj, set(keys), set(), "diagnostics")
-    out = {k: _positive_number(obj[k], f"diagnostics.{k}")
+    out = {k: real(obj[k], f"diagnostics.{k}", ConfigError, above=0.0)
            for k in ("morrey_exponent", "lower_mass_radius") if k in obj}
     if "eps_factors" in obj:
         if not isinstance(obj["eps_factors"], list):
             raise ConfigError("diagnostics.eps_factors must be a list")
-        out["eps_factors"] = tuple(_positive_number(v, "diagnostics.eps_factors entry",
-                                                    0.5) for v in obj["eps_factors"])
+        out["eps_factors"] = tuple(real(v, "diagnostics.eps_factors entry", ConfigError,
+                                        above=0.0, below=0.5)
+                                   for v in obj["eps_factors"])
     return out
 
 
@@ -124,9 +115,7 @@ def _parse_measure(obj) -> measures.GridDensity:
     for key in ("L", "resolution", "d"):
         if key not in obj:
             raise ConfigError(f"measure: missing {key}")
-    return measures.uniform_box(_integer(obj["d"], "measure.d"),
-                                _positive_number(obj["L"], "measure.L"),
-                                _integer(obj["resolution"], "measure.resolution"))
+    return measures.uniform_box(obj["d"], obj["L"], obj["resolution"])
 
 
 def _load_config(path) -> dict:
@@ -169,18 +158,12 @@ def _write_csv(path, header, rows):
 # --------------------------------------------------------------------------
 
 def _parse_scan(obj) -> dict:
-    """Keyword arguments of numeric_instability_scan from a `scan` object."""
+    """Keyword arguments of numeric_instability_scan, which checks them, from
+    a `scan` object."""
     _require_keys(obj, {"scales", "resolution", "margin"}, set(), "scan")
     scales = obj.get("scales")
-    if scales is None:
-        scales = np.geomspace(0.1, 20.0, 16).tolist()
-    elif not isinstance(scales, list) or not scales:
-        raise ConfigError("scan.scales must be a nonempty list")
-    out = {"scales": [_positive_number(t, "scan.scales entry") for t in scales],
-           "tolerance": _positive_number(obj.get("margin", 1e-6), "scan.margin")}
-    if obj.get("resolution") is not None:
-        out["resolution"] = _integer(obj["resolution"], "scan.resolution")
-    return out
+    return {"scales": np.geomspace(0.1, 20.0, 16) if scales is None else scales,
+            "tolerance": obj.get("margin", 1e-6), "resolution": obj.get("resolution")}
 
 
 def cmd_classify(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
@@ -207,12 +190,11 @@ def cmd_classify(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
 
 def cmd_minimize(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
                  phases: dict) -> dict:
-    n = _integer(cfg["N"], "N")
     opts = _parse_optim(cfg.get("optim"), seed)
     diag_opts = _parse_diag(cfg.get("diagnostics"))
 
     t0 = time.perf_counter()
-    result = minimize_multistart(spec, n, opts, workers=workers)
+    result = minimize_multistart(spec, cfg["N"], opts, workers=workers)
     phases["minimize"] = time.perf_counter() - t0
     with open(out_dir / "minimize.json", "w") as fh:
         json.dump(result.to_json(), fh, indent=2)
@@ -257,11 +239,10 @@ def cmd_sweep(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
 
     _write_csv(out_dir / "sweep.csv", _SWEEP_HEADER, rows)
     ns = [r[0] for r in rows]
-    line_plot(out_dir / "diameter_vs_N.svg", [(ns, [r[2] for r in rows], "diameter")],
+    line_plot(out_dir / "diameter_vs_N.svg", ns, [r[2] for r in rows], "diameter",
               title="Minimiser diameter", xlabel="N", ylabel="diameter")
     spreads = [max(r[5], 1e-18) for r in rows]
-    line_plot(out_dir / "spread_vs_N_loglog.svg",
-              [(ns, spreads, "max |P_i - 2E_N|")],
+    line_plot(out_dir / "spread_vs_N_loglog.svg", ns, spreads, "max |P_i - 2E_N|",
               title="Euler-Lagrange spread", xlabel="N", ylabel="spread",
               logx=True, logy=True)
     return {"rows": len(rows), "uniform_K_estimate": max(r[2] for r in rows),
@@ -275,21 +256,21 @@ def cmd_recover(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
                 phases: dict) -> dict:
     n_list = _n_list(cfg["N_list"])
     rho = _parse_measure(cfg["measure"])
-    refine = _integer(cfg.get("refine_levels", 3), "refine_levels")
 
     t0 = time.perf_counter()
-    rows = recovery.recovery_convergence_report(spec, rho, n_list, refine_levels=refine)
+    rows = recovery.recovery_convergence_report(spec, rho, n_list,
+                                                refine_levels=cfg.get("refine_levels", 3))
     phases["recover"] = time.perf_counter() - t0
 
     table = [(r.N, r.discrete_energy, r.continuum_energy, r.energy_gap, r.w1, r.theta)
              for r in rows]
     _write_csv(out_dir / "recover.csv", _RECOVER_HEADER, table)
     ns = [r.N for r in rows]
-    line_plot(out_dir / "energy_gap_vs_N.svg",
-              [(ns, [max(r.energy_gap, 1e-18) for r in rows], "|E_N - E|")],
+    line_plot(out_dir / "energy_gap_vs_N.svg", ns,
+              [max(r.energy_gap, 1e-18) for r in rows], "|E_N - E|",
               title="Recovery energy gap", xlabel="N", ylabel="gap",
               logx=True, logy=True)
-    line_plot(out_dir / "w1_vs_N.svg", [(ns, [r.w1 for r in rows], "W1")],
+    line_plot(out_dir / "w1_vs_N.svg", ns, [r.w1 for r in rows], "W1",
               title="Transport distance to rho", xlabel="N", ylabel="W1")
     return {"rows": len(rows), "final_gap": rows[-1].energy_gap}
 
@@ -349,9 +330,7 @@ def main(argv=None) -> int:
             spec = pot.potential_from_json(cfg["potential"])
         except pot.PotentialError as exc:
             raise ConfigError(f"invalid potential: {exc}") from exc
-        seed = cfg.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError("seed must be an integer")
+        seed = integer(cfg.get("seed", 0), "seed", ConfigError, minimum=-math.inf)
         if args.seed is not None:
             seed = args.seed
         if args.workers < 1:

@@ -13,6 +13,7 @@ import json
 import numpy as np
 
 from . import pairs
+from .checks import integer, real
 from .potentials import PotentialError, PotentialSpec
 
 
@@ -57,11 +58,11 @@ class Configuration:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Configuration":
+        """The configuration of a `to_json` object; `d` must be an integer >= 1
+        and `points` rows of d numbers, else ConfigurationError."""
         if not isinstance(obj, dict) or set(obj) != {"d", "points"}:
             raise ConfigurationError('configuration JSON must be {"d": ..., "points": [...]}')
-        d = obj["d"]
-        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-            raise ConfigurationError(f"d must be an integer >= 1, got {d!r}")
+        d = integer(obj["d"], "d", ConfigurationError)
         try:
             pts = np.array(obj["points"], dtype=float)
         except (TypeError, ValueError) as exc:
@@ -151,11 +152,15 @@ def min_pair_distance(X: Configuration) -> float:
 
 
 def ball_mass(X: Configuration, i: int, r: float) -> float:
-    """m_{i,r} = (1/N) #{j != i : |x_j - x_i| < r} (open ball)."""
-    if not 0 <= i < X.n:
+    """m_{i,r} = (1/N) #{j != i : |x_j - x_i| < r} (open ball).
+
+    Raises ConfigurationError unless i is an integer index of X and r a
+    positive finite number.
+    """
+    i = integer(i, "index", ConfigurationError, minimum=0)
+    if i >= X.n:
         raise ConfigurationError(f"index {i} out of range for N = {X.n}")
-    if r <= 0:
-        raise ConfigurationError("radius must be positive")
+    r = real(r, "radius", ConfigurationError, above=0.0)
     d = pairs.distances(X.points[i:i + 1], X.points)
     count = int(np.count_nonzero(d < r)) - 1  # centre particle excluded
     return count / X.n

@@ -15,8 +15,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .configuration import (Configuration, _blocks, ball_mass, diameter,
-                            min_pair_distance, per_particle_potentials)
+from .checks import real
+from .configuration import (Configuration, ConfigurationError, _blocks, ball_mass,
+                            diameter, min_pair_distance, per_particle_potentials)
 from .pairs import blocks
 from .potentials import PotentialSpec, _ball_deviation, metadata
 
@@ -39,10 +40,10 @@ def empirical_morrey_seminorm(X: Configuration, exponent: float) -> MorreySemino
     come from the row blocks of `pairs`, sorted: the k-th smallest distance
     of row i (from k = 0) gets the count k + 1, which is exact at the last of
     tied distances and smaller before it, so the row maximum is the exact
-    one.  Coincident points make the supremum infinite.
+    one.  Coincident points make the supremum infinite.  An exponent that is
+    not a positive finite number raises ConfigurationError.
     """
-    if exponent <= 0:
-        raise ValueError("exponent must be positive")
+    exponent = real(exponent, "exponent", ConfigurationError, above=0.0)
     n = X.n
     if n < 2:
         return MorreySeminorm(0.0, 0, math.nan, single_point=True)
@@ -124,15 +125,15 @@ def stationarity_check(spec: PotentialSpec, X: Configuration,
     of the radial kernel f_eps(r) of potentials._ball_deviation on the pair
     distances.  Requires N >= 2 (else ConfigurationError), X to have the
     potential's dimension (else PotentialError), as every pair sum of
-    `configuration` does, and eps < half the minimum interparticle distance
-    so no kernel singularity enters any averaging ball.
+    `configuration` does, and eps, a positive finite number, below half the
+    minimum interparticle distance so no kernel singularity enters any
+    averaging ball (else ConfigurationError).
     """
     row_blocks = _blocks(spec, X, "a stationarity check")
     min_dist = min_pair_distance(X)
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    eps = real(eps, "eps", ConfigurationError, above=0.0)
     if not eps < 0.5 * min_dist:
-        raise ValueError(
+        raise ConfigurationError(
             f"eps must be below half the minimum pair distance ({0.5 * min_dist:g})")
 
     def ball(r):
@@ -202,9 +203,11 @@ def build_report(spec: PotentialSpec, X: Configuration, *,
     """Full verification record for one configuration.
 
     Stationarity is evaluated at eps = factor * (min pair distance) for each
-    factor, so a factor of 0.5 or more raises stationarity_check's ValueError;
-    coincident points skip it with a note.  The smallest admissible radius
-    scale is used for the ball-mass floor unless one is configured.
+    factor; coincident points skip it with a note.  The smallest admissible
+    radius scale is used for the ball-mass floor unless one is configured.
+    A factor that is not a positive number below 0.5, and a morrey_exponent
+    or lower_mass_radius that is not a positive finite number, raise
+    ConfigurationError.
     """
     from .configuration import discrete_energy
 

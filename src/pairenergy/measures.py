@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 
 import numpy as np
 
 from . import pairs
+from .checks import integer, real
 from .configuration import Configuration, discrete_energy
 from .potentials import PotentialError, PotentialSpec
 
@@ -97,8 +97,9 @@ class AtomicMeasure:
 class GridDensity:
     """Piecewise-constant probability density on an axis-aligned box [lo, hi)^d.
 
-    `resolution` cells per side; `masses` holds the per-cell masses flattened
-    in C order (axis 0 slowest), summing to 1.
+    `resolution` cells per side, an integer >= 1; `masses` holds the per-cell
+    masses flattened in C order (axis 0 slowest), summing to 1.  Invalid
+    arguments raise MeasureError.
     """
 
     __slots__ = ("lo", "hi", "resolution", "masses")
@@ -110,9 +111,7 @@ class GridDensity:
             raise MeasureError("lo and hi must be vectors of equal length")
         if not np.all(hi > lo):
             raise MeasureError("box must be nondegenerate (hi > lo)")
-        g = int(resolution)
-        if g < 1:
-            raise MeasureError("resolution must be >= 1")
+        g = integer(resolution, "resolution", MeasureError)
         m = np.array(masses, dtype=float).reshape(-1)
         if m.shape != (g ** len(lo),):
             raise MeasureError(f"expected {g ** len(lo)} cell masses, got {m.shape}")
@@ -175,15 +174,17 @@ class GridDensity:
         if unknown:
             raise MeasureError(f"grid density {path}: unknown key {unknown[0]!r}")
         for key in ("d", "resolution"):
-            if not isinstance(head[key], int) or isinstance(head[key], bool) or head[key] < 1:
-                raise MeasureError(f"grid density {path}: {key} must be an integer >= 1")
+            integer(head[key], f"grid density {path}: {key}", MeasureError)
         for key in ("lo", "hi"):
             box = head[key]
-            if not (isinstance(box, list) and len(box) == head["d"] and all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and abs(v) <= sys.float_info.max for v in box)):
-                raise MeasureError(f"grid density {path}: {key} must be a list of d "
-                                   "finite numbers")
+            try:
+                if isinstance(box, list) and len(box) == head["d"]:
+                    head[key] = [real(v, key, MeasureError) for v in box]
+                    continue
+            except MeasureError:
+                pass
+            raise MeasureError(f"grid density {path}: {key} must be a list of d "
+                               "finite numbers")
         if not isinstance(head["mass_csv"], str):
             raise MeasureError(f"grid density {path}: mass_csv must be a file name string")
         mass_path = os.path.join(os.path.dirname(str(path)), head["mass_csv"])
@@ -200,8 +201,12 @@ class GridDensity:
 # --------------------------------------------------------------------------
 
 def uniform_box(d: int, L: float, resolution: int) -> GridDensity:
-    """Uniform probability on [-L, L)^d."""
-    g = int(resolution)
+    """Uniform probability on [-L, L)^d; d and resolution must be integers >= 1,
+    L positive finite and the grid at most _MAX_GRID_VECTORS cells, else
+    MeasureError."""
+    d = integer(d, "d", MeasureError)
+    L = real(L, "L", MeasureError, above=0.0)
+    g = integer(resolution, "resolution", MeasureError)
     if g ** d > _MAX_GRID_VECTORS:
         raise MeasureError(f"a grid of {g}^{d} cells is above the cap of "
                            f"{_MAX_GRID_VECTORS} cells")
@@ -211,15 +216,15 @@ def uniform_box(d: int, L: float, resolution: int) -> GridDensity:
 
 def uniform_ball(d: int, radius: float, resolution: int) -> GridDensity:
     """Uniform probability on the ball of radius t, carried on a grid over
-    its bounding box (cells selected by centre-in-ball)."""
-    g = int(resolution)
-    rho = uniform_box(d, radius, g)
+    its bounding box (cells selected by centre-in-ball).  Arguments are
+    checked as in uniform_box."""
+    rho = uniform_box(d, radius, resolution)
     c = rho.cell_centres()
     inside = np.einsum("ij,ij->i", c, c) <= radius * radius
     if not np.any(inside):
         raise MeasureError("resolution too coarse: no cell centre inside the ball")
     m = np.where(inside, 1.0, 0.0)
-    return GridDensity(rho.lo, rho.hi, g, m / m.sum())
+    return GridDensity(rho.lo, rho.hi, rho.resolution, m / m.sum())
 
 
 def density_to_atoms(rho: GridDensity) -> AtomicMeasure:
@@ -231,10 +236,9 @@ def density_to_atoms(rho: GridDensity) -> AtomicMeasure:
 
 def regrid(rho: GridDensity, multiple_of: int) -> GridDensity:
     """Re-express rho at the smallest per-side resolution that is a multiple
-    of `multiple_of`, by conservative exact-interval-overlap reassignment."""
-    mult = int(multiple_of)
-    if mult < 1:
-        raise MeasureError("multiple_of must be >= 1")
+    of `multiple_of`, an integer >= 1 (else MeasureError), by conservative
+    exact-interval-overlap reassignment."""
+    mult = integer(multiple_of, "multiple_of", MeasureError)
     g = rho.resolution
     g2 = ((g + mult - 1) // mult) * mult
     if g2 == g:
@@ -302,16 +306,17 @@ def continuum_energy_grid(spec: PotentialSpec, rho: GridDensity,
     in units of u, the deepest half-subcell, and (t, ..., t) in those units
     spans 2 diagonals of the current (sub)cell; v is near when
     sum_i v_i^2 u_i^2 <= t^2 sum_i u_i^2 (1 + _NEAR_SLACK), so ties count as
-    near on every grid, whatever the last bits of the cell widths.
+    near on every grid, whatever the last bits of the cell widths.  A grid
+    below 4 cells per side, or a refine_levels not an integer >= 1, raises
+    MeasureError.
     """
     if spec.dimension != rho.dim:
         raise PotentialError("dimension mismatch between potential and density")
     if rho.resolution < 4:
         raise MeasureError("grid too coarse for near-diagonal refinement (need g >= 4)")
-    if refine_levels < 1:
-        raise MeasureError("refine_levels must be >= 1")
+    levels = integer(refine_levels, "refine_levels", MeasureError)
 
-    d, g, levels = rho.dim, rho.resolution, refine_levels
+    d, g = rho.dim, rho.resolution
     shape, axes = (2 * g - 1,) * d, tuple(range(d))
     f = np.fft.rfftn(rho.masses.reshape((g,) * d), s=shape, axes=axes)
     acorr = np.fft.fftshift(np.fft.irfftn(f * f.conj(), s=shape, axes=axes), axes=axes)

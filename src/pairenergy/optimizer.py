@@ -14,15 +14,14 @@ bitwise identical for a fixed seed at any worker count.
 from __future__ import annotations
 
 import math
-import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from numbers import Integral, Real
 
 import numpy as np
 
 from . import pairs
+from .checks import integer, real
 from .configuration import (Configuration, ConfigurationError, _blocks,
                             min_pair_distance)
 from .potentials import PotentialSpec, metadata
@@ -55,18 +54,11 @@ class OptimOpts:
 
     def __post_init__(self):
         for name, minimum in (("max_iters", 1), ("n_starts", 1), ("hop_count", 0)):
-            v = getattr(self, name)
-            if not isinstance(v, Integral) or isinstance(v, bool) or v < minimum:
-                raise ConfigurationError(f"{name} must be an integer >= {minimum}, "
-                                         f"got {v!r}")
+            integer(getattr(self, name), name, ConfigurationError, minimum)
         for name in ("grad_tol", "init_radius", "hop_sigma", "min_pair_dist"):
             v = getattr(self, name)
-            if v is None and name in ("init_radius", "hop_sigma"):
-                continue
-            if not isinstance(v, Real) or isinstance(v, bool) \
-                    or not 0 < v <= sys.float_info.max:
-                raise ConfigurationError(f"{name} must be a positive finite number, "
-                                         f"got {v!r}")
+            if v is not None or name in ("grad_tol", "min_pair_dist"):
+                real(v, name, ConfigurationError, above=0.0)
 
     def resolved(self, spec: PotentialSpec) -> "OptimOpts":
         """These options with `init_radius` and `hop_sigma` filled in."""
@@ -202,10 +194,9 @@ def minimize_multistart(spec: PotentialSpec, N: int, opts: OptimOpts,
     """Multistart + basin-hopping search for an approximate global minimiser.
 
     The result is labelled approximate: no certificate of global optimality
-    is implied.
+    is implied.  An N that is not an integer >= 2 raises ConfigurationError.
     """
-    if N < 2:
-        raise ConfigurationError("need N >= 2")
+    N = integer(N, "N", ConfigurationError, minimum=2)
     opts = opts.resolved(spec)
     seed = int(opts.seed) & 0xFFFFFFFFFFFFFFFF
 

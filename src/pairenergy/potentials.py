@@ -17,6 +17,8 @@ from typing import Union
 
 import numpy as np
 
+from .checks import integer, real
+
 
 class PotentialError(ValueError):
     """Invalid potential parameters or arguments."""
@@ -26,17 +28,13 @@ class PotentialError(ValueError):
 # Potential families
 # --------------------------------------------------------------------------
 
-def _check_dimension(d):
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise PotentialError(f"dimension must be an integer >= 1, got {d!r}")
-
-
 @dataclass(frozen=True)
 class PowerLaw:
     """W(x) = |x|^a / a - |x|^b / b.
 
-    Requires a > b, with b > 0 in dimensions 1 and 2 and 2-d < b < a,
-    b != 0, in dimension >= 3.  Singular at the origin iff b < 0.
+    Requires an integer dimension d >= 1 and finite a > b, with b > 0 in d = 1, 2
+    and 2-d < b < a, b != 0, in d >= 3, else PotentialError; a and b are
+    stored as floats.  Singular at the origin iff b < 0.
     """
 
     dimension: int
@@ -44,10 +42,10 @@ class PowerLaw:
     b: float
 
     def __post_init__(self):
-        d, a, b = self.dimension, self.a, self.b
-        _check_dimension(d)
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise PotentialError("exponents must be finite")
+        d = integer(self.dimension, "dimension", PotentialError)
+        a, b = real(self.a, "a", PotentialError), real(self.b, "b", PotentialError)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
         if not a > b:
             raise PotentialError(f"need a > b, got a={a}, b={b}")
         if d in (1, 2):
@@ -83,7 +81,8 @@ class PowerLaw:
 
 @dataclass(frozen=True)
 class Morse:
-    """W(x) = C_r exp(-|x|/l_r) - C_a exp(-|x|/l_a), all constants positive."""
+    """W(x) = C_r exp(-|x|/l_r) - C_a exp(-|x|/l_a) in an integer dimension
+    >= 1, with positive finite constants (else PotentialError) stored as floats."""
 
     dimension: int
     C_r: float
@@ -92,11 +91,10 @@ class Morse:
     l_a: float
 
     def __post_init__(self):
-        _check_dimension(self.dimension)
+        integer(self.dimension, "dimension", PotentialError)
         for name in ("C_r", "l_r", "C_a", "l_a"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise PotentialError(f"{name} must be a positive real, got {v!r}")
+            v = real(getattr(self, name), name, PotentialError, above=0.0)
+            object.__setattr__(self, name, v)
 
     singular_at_origin = False
 
@@ -119,11 +117,8 @@ _JSON_KINDS = {"power_law": (PowerLaw, ("a", "b")),
 
 
 def potential_from_json(obj: dict) -> PotentialSpec:
-    """Build a potential from its JSON object form.
-
-    Every parameter must be a number, not a bool; the spec checks `d` and
-    the parameter ranges.
-    """
+    """Build a potential from its JSON object form; the spec checks `d` and
+    the parameters."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise PotentialError("potential JSON must be an object with a 'kind' key")
     kind = obj["kind"]
@@ -133,16 +128,7 @@ def potential_from_json(obj: dict) -> PotentialSpec:
     keys = {"kind", "d", *names}
     if set(obj) != keys:
         raise PotentialError(f"{kind} potential expects keys {sorted(keys)}")
-    params = []
-    for name in names:
-        v = obj[name]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise PotentialError(f"{name} must be a number, got {v!r}")
-        try:
-            params.append(float(v))
-        except OverflowError:
-            raise PotentialError(f"{name} is out of the float range") from None
-    return cls(obj["d"], *params)
+    return cls(obj["d"], *(obj[name] for name in names))
 
 
 # --------------------------------------------------------------------------
@@ -341,10 +327,10 @@ def approximate_laplacian(spec: PotentialSpec, x, eps: float) -> float:
     is a Gauss rule in the radius and the axial cosine, exact for
     W(r) = r^(2m) with m <= 7 (see _ball_deviation, which takes any radial
     function).  Returns +inf when a singular origin lies inside the averaging
-    ball but not at x, and -inf when W(x) itself is +inf.
+    ball but not at x, and -inf when W(x) itself is +inf.  An eps that is not
+    a positive finite number raises PotentialError.
     """
-    if eps <= 0:
-        raise PotentialError("eps must be positive")
+    eps = real(eps, "eps", PotentialError, above=0.0)
     x = np.asarray(x, dtype=float)
     d = spec.dimension
     if x.shape != (d,):
@@ -418,20 +404,22 @@ def numeric_instability_scan(spec: PotentialSpec, scales,
     by dimension) and integrated by continuum_energy_grid with its default
     refinement.  The margin is `tolerance` plus the change in energy at the
     best scale when the grid is halved.  A False result is a non-certificate,
-    not a stability proof.
+    not a stability proof.  `scales` must be a nonempty list or array of
+    positive finite numbers, `resolution` None or an integer >= 4 (the grid
+    energy's smallest grid) and `tolerance` positive finite, else PotentialError.
     """
     from . import measures
 
-    scales = [float(t) for t in scales]
-    md = metadata(spec)
-    if math.isinf(md.W_inf) and not scales:
-        raise PotentialError("W_inf = +inf with an empty scale list: nothing to evaluate")
-    if any(t <= 0 for t in scales):
-        raise PotentialError("scales must be positive")
-
+    scales = scales.tolist() if isinstance(scales, np.ndarray) else scales
+    if not isinstance(scales, (list, tuple)) or not scales:
+        raise PotentialError("scales must be a nonempty list of positive numbers")
+    scales = [real(t, "scales entry", PotentialError, above=0.0) for t in scales]
+    tolerance = real(tolerance, "tolerance", PotentialError, above=0.0)
     d = spec.dimension
     if resolution is None:
         resolution = {1: 256, 2: 40, 3: 16}.get(d, 8)
+    resolution = integer(resolution, "resolution", PotentialError, minimum=4)
+    md = metadata(spec)
 
     energies = []
     for t in scales:

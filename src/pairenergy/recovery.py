@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures
+from .checks import integer
 from .configuration import Configuration, discrete_energy
 from .measures import AtomicMeasure, GridDensity, density_to_atoms, \
     continuum_energy_grid, wasserstein1
@@ -85,9 +86,9 @@ def build_recovery(rho: GridDensity, N: int) -> RecoveryResult:
     rho's per-side resolution must be an integer multiple of
     n = floor(N^(1/(4d))) so cube masses are exact sums of grid cells;
     recovery_convergence_report regrids rho to such a resolution itself.
+    An N that is not an integer >= 2 raises RecoveryError.
     """
-    if N < 2:
-        raise RecoveryError("need N >= 2")
+    N = integer(N, "N", RecoveryError, minimum=2)
     d = rho.dim
     L = _box_halfwidth(rho)
     if L < 1.0:
@@ -142,7 +143,9 @@ def build_recovery(rho: GridDensity, N: int) -> RecoveryResult:
 
 
 def auxiliary_count_bound(N: int, d: int) -> float:
-    """The construction's guarantee: N_e <= 4 d N^(1-1/(4d)) + N^(1/4)."""
+    """The construction's guarantee: N_e <= 4 d N^(1-1/(4d)) + N^(1/4), for
+    integers N >= 2 and d >= 1 (else RecoveryError)."""
+    N, d = integer(N, "N", RecoveryError, minimum=2), integer(d, "d", RecoveryError)
     return 4.0 * d * N ** (1.0 - 1.0 / (4.0 * d)) + N ** 0.25
 
 
@@ -164,12 +167,14 @@ def recovery_convergence_report(spec: PotentialSpec, rho: GridDensity,
     For each N, rho is first regridded (measures.regrid) to the smallest
     resolution that is a multiple of n = floor(N^(1/(4d))), which is its own
     when that already is one; E(rho) and the atoms of rho are taken on that
-    grid.
+    grid.  N_list entries that are not distinct integers >= 2 raise
+    RecoveryError before any N is built.
     """
+    ns = [integer(N, "N_list entry", RecoveryError, minimum=2) for N in N_list]
+    if len(set(ns)) != len(ns):
+        raise RecoveryError("N_list entries must be distinct")
     rows = []
-    for N in sorted(int(v) for v in N_list):
-        if N < 2:
-            raise RecoveryError("need N >= 2")
+    for N in sorted(ns):
         grid = measures.regrid(rho, _cube_count(N, rho.dim))
         e_rho = continuum_energy_grid(spec, grid, refine_levels=refine_levels)
         rec = build_recovery(grid, N)

@@ -1,7 +1,6 @@
 """Minimal self-contained SVG line plots (no plotting dependency).
 
-Output is deterministic: coordinates are formatted with fixed precision and
-series are drawn in call order.
+Output is deterministic: coordinates are formatted with fixed precision.
 """
 
 from __future__ import annotations
@@ -10,7 +9,7 @@ import math
 
 _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 70, 20, 40, 55
-_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_COLOR = "#1f77b4"
 
 
 def _ticks(lo: float, hi: float, log: bool) -> list[float]:
@@ -40,14 +39,11 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def line_plot(path, series, *, title="", xlabel="", ylabel="",
-              logx=False, logy=False):
-    """Write an SVG line plot.
-
-    series: list of (xs, ys, label) with positive values on any log axis.
-    """
-    xs_all = [float(x) for xs, _, _ in series for x in xs]
-    ys_all = [float(y) for _, ys, _ in series for y in ys]
+def line_plot(path, xs, ys, label, *, title, xlabel, ylabel, logx=False, logy=False):
+    """Write an SVG plot of one labelled series of points (xs, ys), with
+    positive values on any log axis."""
+    xs_all = [float(x) for x in xs]
+    ys_all = [float(y) for y in ys]
     if not xs_all:
         raise ValueError("nothing to plot")
     if logx and min(xs_all) <= 0 or logy and min(ys_all) <= 0:
@@ -81,9 +77,8 @@ def line_plot(path, series, *, title="", xlabel="", ylabel="",
              f'<rect width="{_W}" height="{_H}" fill="white"/>',
              f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" '
              'stroke="black"/>']
-    if title:
-        parts.append(f'<text x="{_W/2:.1f}" y="24" text-anchor="middle" '
-                     f'font-size="16" font-family="sans-serif">{title}</text>')
+    parts.append(f'<text x="{_W/2:.1f}" y="24" text-anchor="middle" '
+                 f'font-size="16" font-family="sans-serif">{title}</text>')
 
     for t in _ticks(x_lo, x_hi, logx):
         xpix = px(t)
@@ -101,29 +96,23 @@ def line_plot(path, series, *, title="", xlabel="", ylabel="",
                      f'y2="{ypix:.1f}" stroke="black"/>')
         parts.append(f'<text x="{_ML-8}" y="{ypix+4:.1f}" text-anchor="end" '
                      f'font-size="11" font-family="sans-serif">{_fmt(t)}</text>')
-    if xlabel:
-        parts.append(f'<text x="{_ML+pw/2:.1f}" y="{_H-12}" text-anchor="middle" '
-                     f'font-size="13" font-family="sans-serif">{xlabel}</text>')
-    if ylabel:
-        parts.append(f'<text x="18" y="{_MT+ph/2:.1f}" text-anchor="middle" '
-                     f'font-size="13" font-family="sans-serif" '
-                     f'transform="rotate(-90 18 {_MT+ph/2:.1f})">{ylabel}</text>')
+    parts.append(f'<text x="{_ML+pw/2:.1f}" y="{_H-12}" text-anchor="middle" '
+                 f'font-size="13" font-family="sans-serif">{xlabel}</text>')
+    parts.append(f'<text x="18" y="{_MT+ph/2:.1f}" text-anchor="middle" '
+                 f'font-size="13" font-family="sans-serif" '
+                 f'transform="rotate(-90 18 {_MT+ph/2:.1f})">{ylabel}</text>')
 
-    for k, (xs, ys, label) in enumerate(series):
-        color = _COLORS[k % len(_COLORS)]
-        coords = " ".join(f"{px(float(x)):.2f},{py(float(y)):.2f}"
-                          for x, y in zip(xs, ys))
-        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                     'stroke-width="1.5"/>')
-        for x, y in zip(xs, ys):
-            parts.append(f'<circle cx="{px(float(x)):.2f}" cy="{py(float(y)):.2f}" '
-                         f'r="3" fill="{color}"/>')
-        if label:
-            ly = _MT + 16 + 16 * k
-            parts.append(f'<line x1="{_ML+pw-130}" y1="{ly-4}" x2="{_ML+pw-105}" '
-                         f'y2="{ly-4}" stroke="{color}" stroke-width="2"/>')
-            parts.append(f'<text x="{_ML+pw-100}" y="{ly}" font-size="12" '
-                         f'font-family="sans-serif">{label}</text>')
+    points = [(px(x), py(y)) for x, y in zip(xs_all, ys_all)]
+    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+    parts.append(f'<polyline points="{coords}" fill="none" stroke="{_COLOR}" '
+                 'stroke-width="1.5"/>')
+    for x, y in points:
+        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{_COLOR}"/>')
+    ly = _MT + 16   # the legend line
+    parts.append(f'<line x1="{_ML+pw-130}" y1="{ly-4}" x2="{_ML+pw-105}" '
+                 f'y2="{ly-4}" stroke="{_COLOR}" stroke-width="2"/>')
+    parts.append(f'<text x="{_ML+pw-100}" y="{ly}" font-size="12" '
+                 f'font-family="sans-serif">{label}</text>')
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

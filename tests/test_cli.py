@@ -322,6 +322,27 @@ def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "out" / "run_record.json").exists()
 
 
+@pytest.mark.parametrize("command, payload, artifact", [
+    ("minimize", {"potential": PL21_JSON, "N": 3, "optim": CHEAP_OPTIM,
+                  "diagnostics": {"eps_factors": [0.7]}}, "minimize.json"),
+    ("minimize", {"potential": PL21_JSON, "N": 3, "optim": CHEAP_OPTIM,
+                  "diagnostics": {"lower_mass_radius": float("nan")}}, "minimize.json"),
+    ("sweep", {"potential": PL21_JSON, "N_list": [2, 3], "optim": CHEAP_OPTIM,
+               "diagnostics": {"morrey_exponent": float("inf")}}, "sweep.csv"),
+    ("sweep", {"potential": PL21_JSON, "N_list": [3, 1], "optim": CHEAP_OPTIM},
+     "sweep.csv"),
+], ids=["minimize_eps_factor", "minimize_nan_radius", "sweep_infinite_exponent",
+        "sweep_N_1_after_a_solve"])
+def test_values_read_after_a_solve_exit_before_it(tmp_path, monkeypatch, command,
+                                                  payload, artifact):
+    # these values reach the library only after a solve, so cli checks them first
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started")
+    monkeypatch.setattr(cli, "minimize_multistart", no_solve)
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert run(command, cfg, tmp_path / "out") == cli.EXIT_CONFIG
+    assert not (tmp_path / "out" / artifact).exists()
+
 
 def test_grid_file_mass_error_is_one_plain_message(tmp_path, capsys):
     # the constructor's MeasureError reaches the user as it is, with the mass
@@ -410,9 +431,11 @@ FUZZ_BASES = [
                  "diagnostics": {"lower_mass_radius": 0.5}}),
 ]
 FILE_KEYS = {"configuration_file", "grid_file"}
-# wrong types, and the out-of-range numbers the schema documents (0.5 is the
-# eps_factors bound)
-WRONG_VALUES = ["x", None, True, [1.0], {"a": 1}, 0, -1, 0.5]
+# wrong types, the out-of-range numbers the schema documents (0.5 is the
+# eps_factors bound), the non-finite numbers json reads (NaN, Infinity) and a
+# fraction where a count belongs
+WRONG_VALUES = ["x", None, True, [1.0], {"a": 1}, 0, -1, 0.5,
+                float("nan"), float("inf"), 2.5]
 
 
 def _paths(obj, prefix=()):

@@ -441,6 +441,14 @@ class TestInstabilityScan:
         assert not cert.found
         assert all(e >= cert.threshold for e in cert.energies)
 
+    def test_negative_tolerance_gives_no_false_certificate(self):
+        # a tolerance of -1 once lifted the threshold to 1.0, above every
+        # energy, and certified a strictly stable potential as unstable
+        assert pot.classify_stability(MORSE_S).classification == pot.STRICTLY_STABLE
+        with pytest.raises(pot.PotentialError, match="tolerance"):
+            pot.numeric_instability_scan(MORSE_S, np.geomspace(0.1, 20.0, 16),
+                                         tolerance=-1)
+
     def test_unstable_verdicts_corroborated(self):
         # classify says Unstable with finite W_inf -> the scan certifies it
         for spec in (MORSE_U, pot.Morse(2, 1.0, 0.3, 2.0, 1.0)):
