@@ -48,8 +48,6 @@ from .potentials import (
     StabilityReport,
     approximate_laplacian,
     classify_stability,
-    evaluate,
-    gradient,
     metadata,
     numeric_instability_scan,
     potential_from_json,

@@ -1,11 +1,13 @@
-"""The two value checks every entry point shares: an integer at or above a
-minimum, and a finite number inside an open interval.  Both refuse bools and
-non-numbers and raise the caller's own error class, so a library call refuses
-what the CLI refuses, with its module's error.
+"""The four checks every entry point shares: an integer at or above a minimum,
+a finite number inside an open interval, a UTF-8 JSON file, and a JSON object
+with a given key set.  Each raises the caller's own error class, so a library
+call refuses what the CLI refuses, with its module's error, and a malformed
+input file is one error message, never a traceback.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from numbers import Integral, Real
 
@@ -28,3 +30,28 @@ def real(v, name: str, error: type[Exception], above: float = -math.inf,
     if not above < x < below:   # false for nan and, as the bounds are open, for +-inf
         raise error(f"{name} must be a finite number in ({above:g}, {below:g})")
     return x
+
+
+def json_file(path, what: str, error: type[Exception]):
+    """The JSON value of the UTF-8 file at `path`.  Bad bytes, bad syntax and
+    nesting too deep to parse raise `error` naming `what` and the file; an
+    OSError passes through."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:   # UnicodeDecodeError is a ValueError
+        raise error(f"{what} {path}: not a UTF-8 JSON file: {exc}") from None
+
+
+def json_object(obj, where: str, error: type[Exception], required=(), optional=()) -> dict:
+    """obj when it is a dict with every key of `required` and no key outside
+    `required` and `optional`; else `error` naming `where` and the key."""
+    if not isinstance(obj, dict):
+        raise error(f"{where}: must be a JSON object")
+    for key in required:
+        if key not in obj:
+            raise error(f"{where}: missing key {key!r}")
+    for key in obj:
+        if key not in required and key not in optional:
+            raise error(f"{where}: unknown key {key!r}")
+    return obj

@@ -34,7 +34,7 @@ from . import diagnostics as diag
 from . import measures
 from . import potentials as pot
 from . import recovery
-from .checks import integer, real
+from .checks import integer, json_file, json_object, real
 from .configuration import Configuration, ConfigurationError, diameter
 from .optimizer import OptimOpts, minimize_multistart
 from .svgplot import line_plot
@@ -54,17 +54,6 @@ class NumericFailure(RuntimeError):
 # Config schema helpers
 # --------------------------------------------------------------------------
 
-def _require_keys(obj: dict, allowed: set, required: set, where: str):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
-
-
 def _n_list(v) -> list:
     """The N entries, checked here because sweep reads them between solves."""
     if not isinstance(v, list) or not v:
@@ -79,7 +68,8 @@ def _parse_optim(obj, seed: int) -> OptimOpts:
     """OptimOpts from an `optim` object; OptimOpts checks the values."""
     if obj is None:
         return OptimOpts(seed=seed)
-    _require_keys(obj, {f.name for f in fields(OptimOpts)} - {"seed"}, set(), "optim")
+    json_object(obj, "optim", ConfigError,
+                optional=[f.name for f in fields(OptimOpts) if f.name != "seed"])
     return OptimOpts(seed=seed, **obj)
 
 
@@ -88,7 +78,7 @@ def _parse_diag(obj, keys=("morrey_exponent", "lower_mass_radius", "eps_factors"
     checked here because they are read only after the solves."""
     if obj is None:
         return {}
-    _require_keys(obj, set(keys), set(), "diagnostics")
+    json_object(obj, "diagnostics", ConfigError, optional=keys)
     out = {k: real(obj[k], f"diagnostics.{k}", ConfigError, above=0.0)
            for k in ("morrey_exponent", "lower_mass_radius") if k in obj}
     if "eps_factors" in obj:
@@ -101,32 +91,16 @@ def _parse_diag(obj, keys=("morrey_exponent", "lower_mass_radius", "eps_factors"
 
 
 def _parse_measure(obj) -> measures.GridDensity:
-    _require_keys(obj, {"builtin", "L", "resolution", "d", "grid_file"}, set(),
-                  "measure")
-    if "grid_file" in obj:
-        if len(obj) != 1:
-            raise ConfigError("measure: grid_file excludes other keys")
+    if isinstance(obj, dict) and "grid_file" in obj:
+        json_object(obj, "measure", ConfigError, required=("grid_file",))
         if not isinstance(obj["grid_file"], str):
             raise ConfigError("measure.grid_file must be a path string")
         return measures.GridDensity.load(obj["grid_file"])
-    if obj.get("builtin") != "uniform_box":
+    json_object(obj, "measure", ConfigError, required=("builtin", "L", "resolution", "d"))
+    if obj["builtin"] != "uniform_box":
         raise ConfigError('measure: expected {"builtin": "uniform_box", ...} '
                           'or {"grid_file": ...}')
-    for key in ("L", "resolution", "d"):
-        if key not in obj:
-            raise ConfigError(f"measure: missing {key}")
     return measures.uniform_box(obj["d"], obj["L"], obj["resolution"])
-
-
-def _load_config(path) -> dict:
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    return cfg
 
 
 def _config_hash(cfg: dict) -> str:
@@ -160,7 +134,7 @@ def _write_csv(path, header, rows):
 def _parse_scan(obj) -> dict:
     """Keyword arguments of numeric_instability_scan, which checks them, from
     a `scan` object."""
-    _require_keys(obj, {"scales", "resolution", "margin"}, set(), "scan")
+    json_object(obj, "scan", ConfigError, optional=("scales", "resolution", "margin"))
     scales = obj.get("scales")
     return {"scales": np.geomspace(0.1, 20.0, 16) if scales is None else scales,
             "tolerance": obj.get("margin", 1e-6), "resolution": obj.get("resolution")}
@@ -300,11 +274,11 @@ def cmd_analyze(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
 # name -> (command, optional keys, required keys); every config also takes
 # "potential" (required) and "seed"
 _COMMANDS = {
-    "classify": (cmd_classify, {"scan"}, set()),
-    "minimize": (cmd_minimize, {"optim", "diagnostics"}, {"N"}),
-    "sweep": (cmd_sweep, {"optim", "diagnostics"}, {"N_list"}),
-    "recover": (cmd_recover, {"refine_levels"}, {"N_list", "measure"}),
-    "analyze": (cmd_analyze, {"diagnostics"}, {"configuration_file"}),
+    "classify": (cmd_classify, ("scan",), ()),
+    "minimize": (cmd_minimize, ("optim", "diagnostics"), ("N",)),
+    "sweep": (cmd_sweep, ("optim", "diagnostics"), ("N_list",)),
+    "recover": (cmd_recover, ("refine_levels",), ("N_list", "measure")),
+    "analyze": (cmd_analyze, ("diagnostics",), ("configuration_file",)),
 }
 
 
@@ -323,9 +297,9 @@ def main(argv=None) -> int:
     command, optional, required = _COMMANDS[args.command]
 
     try:
-        cfg = _load_config(args.config)
-        _require_keys(cfg, {"potential", "seed", *optional, *required},
-                      {"potential", *required}, "config")
+        cfg = json_object(json_file(args.config, "config", ConfigError), "config",
+                          ConfigError, required=("potential", *required),
+                          optional=("seed", *optional))
         try:
             spec = pot.potential_from_json(cfg["potential"])
         except pot.PotentialError as exc:

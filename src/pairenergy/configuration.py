@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from . import pairs
-from .checks import integer, real
+from .checks import integer, json_file, json_object, real
 from .potentials import PotentialError, PotentialSpec
 
 
@@ -60,8 +60,7 @@ class Configuration:
     def from_json(cls, obj: dict) -> "Configuration":
         """The configuration of a `to_json` object; `d` must be an integer >= 1
         and `points` rows of d numbers, else ConfigurationError."""
-        if not isinstance(obj, dict) or set(obj) != {"d", "points"}:
-            raise ConfigurationError('configuration JSON must be {"d": ..., "points": [...]}')
+        json_object(obj, "configuration", ConfigurationError, required=("d", "points"))
         d = integer(obj["d"], "d", ConfigurationError)
         try:
             pts = np.array(obj["points"], dtype=float)
@@ -77,12 +76,7 @@ class Configuration:
 
     @classmethod
     def load_json(cls, path) -> "Configuration":
-        with open(path) as fh:
-            try:
-                obj = json.load(fh)
-            except ValueError as exc:
-                raise ConfigurationError(f"{path}: not a JSON file: {exc}") from None
-        return cls.from_json(obj)
+        return cls.from_json(json_file(path, "configuration", ConfigurationError))
 
     def save_csv(self, path):
         with open(path, "w", newline="") as fh:

@@ -90,15 +90,16 @@ class PowerFit:
 def fit_power_decay(samples) -> PowerFit:
     """Least-squares fit of log(value) = log(A) - k log(N).
 
-    Zero values are dropped (with a count flag); negative values error.
+    Zero values are dropped (with a count flag); negative values, or fewer
+    than 2 positive samples at distinct N, raise ConfigurationError.
     """
     samples = [(float(n), float(v)) for n, v in samples]
     if any(v < 0 for _, v in samples):
-        raise ValueError("power-decay fit needs nonnegative values")
+        raise ConfigurationError("power-decay fit needs nonnegative values")
     dropped = sum(1 for _, v in samples if v == 0.0)
     kept = [(n, v) for n, v in samples if v > 0.0]
     if len(kept) < 2 or len({n for n, _ in kept}) < 2:
-        raise ValueError("need at least 2 positive samples at distinct N")
+        raise ConfigurationError("need at least 2 positive samples at distinct N")
     ln = np.log([n for n, _ in kept])
     lv = np.log([v for _, v in kept])
     slope, intercept = np.polyfit(ln, lv, 1)

@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from . import pairs
-from .checks import integer, real
+from .checks import integer, json_file, json_object, real
 from .configuration import Configuration, discrete_energy
 from .potentials import PotentialError, PotentialSpec
 
@@ -159,20 +159,9 @@ class GridDensity:
     def load(cls, path) -> "GridDensity":
         """Read what `save` wrote; malformed content raises MeasureError with
         a message that names the file and the key."""
-        with open(path) as fh:
-            try:
-                head = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise MeasureError(f"grid density {path}: not a JSON file: {exc}") from None
-        if not isinstance(head, dict):
-            raise MeasureError(f"grid density {path}: the header must be a JSON object")
-        keys = ("d", "lo", "hi", "resolution", "mass_csv")
-        for key in keys:
-            if key not in head:
-                raise MeasureError(f"grid density {path}: missing key {key!r}")
-        unknown = sorted(set(head) - set(keys))
-        if unknown:
-            raise MeasureError(f"grid density {path}: unknown key {unknown[0]!r}")
+        head = json_object(json_file(path, "grid density", MeasureError),
+                           f"grid density {path}", MeasureError,
+                           required=("d", "lo", "hi", "resolution", "mass_csv"))
         for key in ("d", "resolution"):
             integer(head[key], f"grid density {path}: {key}", MeasureError)
         for key in ("lo", "hi"):
@@ -528,13 +517,21 @@ def _w1_simplex(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     return primal
 
 
+def check_transport_size(n: int, m: int):
+    """Refuse with MeasureError a W1 between n and m atoms in d >= 2 whose
+    n x m cost matrix would be above _MAX_GRID_VECTORS cells."""
+    if n * m > _MAX_GRID_VECTORS:
+        raise MeasureError(f"a transport cost matrix of {min(n, m)} x {max(n, m)} "
+                           f"cells is above the cap of {_MAX_GRID_VECTORS} cells")
+
+
 def wasserstein1(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     """Exact Wasserstein-1 distance between atomic measures.
 
     d = 1 uses the quantile (CDF) coupling; d >= 2 solves the transport
     problem with the transportation simplex of _w1_simplex, in the memory of
-    its n x m cost matrix.  Above _MAX_GRID_VECTORS cells that matrix is
-    refused with MeasureError before it is allocated.
+    its n x m cost matrix.  check_transport_size refuses that matrix before
+    it is allocated.
     """
     if mu.dim != nu.dim:
         raise MeasureError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
@@ -545,7 +542,5 @@ def wasserstein1(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
         mu, nu = nu, mu
     if mu.dim == 1:
         return _w1_1d(mu, nu)
-    if mu.n_atoms * nu.n_atoms > _MAX_GRID_VECTORS:
-        raise MeasureError(f"a transport cost matrix of {mu.n_atoms} x {nu.n_atoms} "
-                           f"cells is above the cap of {_MAX_GRID_VECTORS} cells")
+    check_transport_size(mu.n_atoms, nu.n_atoms)
     return _w1_simplex(mu, nu)

@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .checks import integer, real
+from .checks import integer, json_object, real
 
 
 class PotentialError(ValueError):
@@ -119,41 +119,13 @@ _JSON_KINDS = {"power_law": (PowerLaw, ("a", "b")),
 def potential_from_json(obj: dict) -> PotentialSpec:
     """Build a potential from its JSON object form; the spec checks `d` and
     the parameters."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise PotentialError("potential JSON must be an object with a 'kind' key")
-    kind = obj["kind"]
+    kind = obj.get("kind") if isinstance(obj, dict) else None
     if not isinstance(kind, str) or kind not in _JSON_KINDS:
-        raise PotentialError(f"unknown potential kind {kind!r}")
+        raise PotentialError("potential JSON must be an object whose kind is "
+                             f"one of {sorted(_JSON_KINDS)}, got {kind!r}")
     cls, names = _JSON_KINDS[kind]
-    keys = {"kind", "d", *names}
-    if set(obj) != keys:
-        raise PotentialError(f"{kind} potential expects keys {sorted(keys)}")
+    json_object(obj, f"{kind} potential", PotentialError, required=("kind", "d", *names))
     return cls(obj["d"], *(obj[name] for name in names))
-
-
-# --------------------------------------------------------------------------
-# Point evaluation
-# --------------------------------------------------------------------------
-
-def evaluate(spec: PotentialSpec, x) -> float:
-    """W(x) for a single point x in R^d; +inf at the origin when singular."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.dimension,):
-        raise PotentialError(f"point must have shape ({spec.dimension},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise PotentialError("point must be finite")
-    return float(spec.radial(float(np.linalg.norm(x))))
-
-
-def gradient(spec: PotentialSpec, x) -> np.ndarray:
-    """grad W(x) = W'(|x|) x / |x|; errors at x = 0."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.dimension,):
-        raise PotentialError(f"point must have shape ({spec.dimension},), got {x.shape}")
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        raise PotentialError("gradient undefined at the origin")
-    return float(spec.radial_derivative(r)) * x / r
 
 
 # --------------------------------------------------------------------------

@@ -34,7 +34,7 @@ class RecoveryError(ValueError):
 def _integer_root(m: int, d: int) -> int:
     """Largest t >= 0 with t^d <= m (exact integer search)."""
     if m < 0:
-        raise ValueError("m must be nonnegative")
+        raise RecoveryError("m must be nonnegative")
     t = int(round(m ** (1.0 / d)))
     while t ** d > m:
         t -= 1
@@ -168,14 +168,19 @@ def recovery_convergence_report(spec: PotentialSpec, rho: GridDensity,
     resolution that is a multiple of n = floor(N^(1/(4d))), which is its own
     when that already is one; E(rho) and the atoms of rho are taken on that
     grid.  N_list entries that are not distinct integers >= 2 raise
-    RecoveryError before any N is built.
+    RecoveryError, and in d >= 2 an N whose W1 against the nonempty cells of
+    its grid is above the cost-matrix cap (measures.check_transport_size)
+    raises MeasureError, before any N is built.
     """
     ns = [integer(N, "N_list entry", RecoveryError, minimum=2) for N in N_list]
     if len(set(ns)) != len(ns):
         raise RecoveryError("N_list entries must be distinct")
+    grids = {N: measures.regrid(rho, _cube_count(N, rho.dim)) for N in sorted(ns)}
+    if rho.dim >= 2:
+        for N, grid in grids.items():
+            measures.check_transport_size(N, int(np.count_nonzero(grid.masses > 0)))
     rows = []
-    for N in sorted(ns):
-        grid = measures.regrid(rho, _cube_count(N, rho.dim))
+    for N, grid in grids.items():
         e_rho = continuum_energy_grid(spec, grid, refine_levels=refine_levels)
         rec = build_recovery(grid, N)
         e_n = discrete_energy(spec, rec.config)

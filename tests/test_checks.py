@@ -1,7 +1,8 @@
-"""The shared value checks, and the library calls that refuse through them
+"""The shared value and JSON checks, and the library calls that refuse through them
 what the CLI refuses, each with its module's error."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,40 @@ class TestChecks:
         assert checks.real(3, "t", ValueError) == 3.0
         assert checks.real(-1e308, "t", ValueError) == -1e308
 
+    def test_json_file_reads_utf8(self, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text('{"x": ["\u00e9", 1.5]}', encoding="utf-8")
+        assert checks.json_file(path, "input", Refused) == {"x": ["\u00e9", 1.5]}
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", '{"x": "\u00e9"}'.encode("latin-1"),
+                                         b"{'x': 1}", b"", b"[" * 100_000],
+                             ids=["utf16_bom", "latin1", "bad_syntax", "empty", "deep"])
+    def test_json_file_refuses_what_is_not_utf8_json(self, tmp_path, content):
+        path = tmp_path / "a.json"
+        path.write_bytes(content)
+        with pytest.raises(Refused, match=f"^input {re.escape(str(path))}: not a UTF-8 JSON file: "):
+            checks.json_file(path, "input", Refused)
+
+    def test_json_file_passes_os_errors(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            checks.json_file(tmp_path / "missing.json", "input", Refused)
+
+    def test_json_object_returns_the_object(self):
+        obj = {"a": 1, "c": 2}
+        assert checks.json_object(obj, "o", Refused, required=("a",), optional=("b", "c")) is obj
+        assert checks.json_object({}, "o", Refused, optional={"b"}) == {}
+
+    @pytest.mark.parametrize("obj, message", [
+        ([1], "o: must be a JSON object"),
+        (None, "o: must be a JSON object"),
+        ({"c": 1}, "o: missing key 'a'"),
+        ({"a": 1, "x": 2, "y": 3}, "o: unknown key 'x'"),
+        ({"x": 2}, "o: missing key 'a'"),
+    ], ids=["list", "null", "missing", "unknown", "missing_before_unknown"])
+    def test_json_object_names_the_key(self, obj, message):
+        with pytest.raises(Refused, match=f"^{message}$"):
+            checks.json_object(obj, "o", Refused, required=("a",), optional=("c",))
+
 
 @pytest.mark.parametrize("call, error", [
     (lambda: pot.numeric_instability_scan(MORSE_S, np.geomspace(0.1, 20.0, 16),
@@ -77,6 +112,9 @@ class TestChecks:
     (lambda: pot.approximate_laplacian(MORSE_U, [1.0, 0.0], NAN), pot.PotentialError),
     (lambda: diag.stationarity_check(MORSE_U, X, NAN), cfg.ConfigurationError),
     (lambda: opt.minimize_multistart(MORSE_U, 2.5, ONE_STEP), cfg.ConfigurationError),
+    (lambda: diag.fit_power_decay([(2, -1.0), (3, 1.0)]), cfg.ConfigurationError),
+    (lambda: diag.fit_power_decay([(2, 1.0), (2, 0.5)]), cfg.ConfigurationError),
+    (lambda: rec._integer_root(-1, 2), rec.RecoveryError),
 ], ids=["scan_negative_tolerance", "scan_empty_scales", "scan_float_resolution",
         "ball_mass_nan_radius", "report_nan_lower_mass_radius", "morrey_nan_exponent",
         "uniform_box_d0", "uniform_box_infinite_L", "uniform_box_float_resolution",
@@ -84,7 +122,8 @@ class TestChecks:
         "regrid_float_multiple", "uniform_ball_float_resolution",
         "grid_density_float_resolution", "build_recovery_float_N", "aux_bound_float_N",
         "ball_mass_float_index", "laplacian_nan_eps", "stationarity_nan_eps",
-        "multistart_float_N"])
+        "multistart_float_N", "fit_negative_value", "fit_one_distinct_N",
+        "integer_root_negative"])
 def test_library_refuses_what_the_cli_refuses(call, error):
     with pytest.raises(error):
         call()

@@ -360,7 +360,7 @@ def test_grid_file_mass_error_is_one_plain_message(tmp_path, capsys):
     (lambda h: h.update(resolution="abc"), "resolution must be an integer >= 1"),
     (lambda h: h.update(lo=["a", -1]), "lo must be a list of d finite numbers"),
     (lambda h: h.update(mass_csv=5), "mass_csv must be a file name string"),
-    (None, "the header must be a JSON object"),
+    (None, "must be a JSON object"),
 ], ids=["missing_mass_csv", "string_resolution", "string_lo", "integer_mass_csv",
         "list_header"])
 def test_grid_file_header_error_is_one_plain_message(tmp_path, capsys, edit, message):
@@ -379,14 +379,45 @@ def test_grid_file_header_error_is_one_plain_message(tmp_path, capsys, edit, mes
     assert capsys.readouterr().err == f"config error: grid density {grid}: {message}\n"
 
 
-def test_recover_above_the_cost_matrix_cap_is_config_error(tmp_path, capsys):
-    # 4096 recovery particles against the 4096 cells of a 64 x 64 grid
+@pytest.mark.parametrize("n_list, cells", [([4096], "4096 x 4096"),
+                                           ([16, 8000], "4356 x 8000")],
+                         ids=["N_4096", "N_16_then_8000"])
+def test_recover_above_the_cost_matrix_cap_is_config_error(tmp_path, monkeypatch, capsys,
+                                                           n_list, cells):
+    # N particles against the nonempty cells of the 64 x 64 grid regridded for
+    # N (66 x 66 for N = 8000); refused before any N, N = 16 too, is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("a recovery configuration was built")
+    monkeypatch.setattr(rec, "build_recovery", no_build)
     cfg = write_config(tmp_path, "c.json", {
-        "potential": PL21_JSON, "N_list": [4096],
+        "potential": PL21_JSON, "N_list": n_list,
         "measure": {"builtin": "uniform_box", "L": 1.0, "d": 2, "resolution": 64}})
     assert run("recover", cfg, tmp_path / "out") == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == ("config error: a transport cost matrix of "
-                                       "4096 x 4096 cells is above the cap of 4000000 cells\n")
+    assert capsys.readouterr().err == (f"config error: a transport cost matrix of {cells} "
+                                       "cells is above the cap of 4000000 cells\n")
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["utf16_bom", "nested_100k"])
+@pytest.mark.parametrize("role", ["config", "grid_file", "configuration_file"])
+def test_unreadable_json_file_is_one_config_error(tmp_path, capsys, role, content):
+    # bytes that are not UTF-8, or nesting too deep to parse, in any JSON
+    # input file give one line naming the file, not a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    if role == "config":
+        command, cfg = "classify", str(bad)
+    elif role == "grid_file":
+        command, cfg = "recover", write_config(tmp_path, "c.json",
+                                               dict(RECOVER_1D, measure={"grid_file": str(bad)}))
+    else:
+        command, cfg = "analyze", write_config(tmp_path, "c.json",
+                                               {"potential": PL21_JSON,
+                                                "configuration_file": str(bad)})
+    assert run(command, cfg, tmp_path / "out") == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"{bad}: not a UTF-8 JSON file: " in err
 
 
 def test_cli_import_loads_no_scipy():

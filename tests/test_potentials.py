@@ -17,14 +17,8 @@ MORSE_U = pot.Morse(2, 1.0, 0.5, 1.0, 1.0)
 MORSE_S = pot.Morse(2, 5.0, 0.5, 1.0, 1.0)
 
 
-def fd_gradient(spec, x, h=1e-6):
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for k in range(len(x)):
-        e = np.zeros_like(x)
-        e[k] = h
-        g[k] = (pot.evaluate(spec, x + e) - pot.evaluate(spec, x - e)) / (2 * h)
-    return g
+def fd_derivative(spec, r, h=1e-6):
+    return (spec.radial(r + h) - spec.radial(r - h)) / (2 * h)
 
 
 class TestConstruction:
@@ -70,22 +64,15 @@ class TestConstruction:
 
 class TestEval:
     def test_power_law_at_unit_radius(self):
-        assert pot.evaluate(PL21, [1.0, 0.0]) == pytest.approx(-0.5, abs=1e-15)
+        assert float(PL21.radial(1.0)) == pytest.approx(-0.5, abs=1e-15)
 
     def test_singular_origin(self):
-        assert pot.evaluate(PL3_SING, [0.0, 0.0, 0.0]) == math.inf
-        assert pot.evaluate(pot.PowerLaw(4, 2.0, -1.0), [0.0] * 4) == math.inf
+        assert float(PL3_SING.radial(0.0)) == math.inf
+        assert float(pot.PowerLaw(4, 2.0, -1.0).radial(0.0)) == math.inf
 
     def test_morse_origin(self):
         spec = pot.Morse(1, 1.0, 0.5, 1.0, 1.0)
-        assert pot.evaluate(spec, [0.0]) == 0.0
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(0)
-        for spec in (PL21, MORSE_U):
-            xs = rng.normal(size=(1000, 2)) * 3
-            for x in xs:
-                assert pot.evaluate(spec, x) == pot.evaluate(spec, -x)
+        assert float(spec.radial(0.0)) == 0.0
 
     def test_lower_bound(self):
         rng = np.random.default_rng(1)
@@ -106,43 +93,30 @@ class TestEval:
             assert np.all(v1 < v2)
 
 
-class TestGradient:
+class TestRadialDerivative:
     def test_critical_at_unit_distance(self):
-        g = pot.gradient(PL21, [1.0, 0.0])
-        assert np.allclose(g, 0.0, atol=1e-15)
+        assert float(PL21.radial_derivative(1.0)) == pytest.approx(0.0, abs=1e-15)
 
     def test_power_law_at_two(self):
         # radial derivative r^{a-1} - r^{b-1} = r - 1 -> 1 at r = 2
-        g = pot.gradient(PL21, [2.0, 0.0])
-        assert np.allclose(g, fd_gradient(PL21, [2.0, 0.0]), rtol=1e-6)
-        assert g == pytest.approx([1.0, 0.0], abs=1e-12)
+        w1 = float(PL21.radial_derivative(2.0))
+        assert w1 == pytest.approx(fd_derivative(PL21, 2.0), rel=1e-6)
+        assert w1 == pytest.approx(1.0, abs=1e-12)
 
     def test_morse_example(self):
         spec = pot.Morse(2, 2.0, 1.0, 1.0, 2.0)
-        g = pot.gradient(spec, [1.0, 0.0])
+        w1 = float(spec.radial_derivative(1.0))
         expected = -2.0 * math.exp(-1.0) + 0.5 * math.exp(-0.5)
-        assert g == pytest.approx([expected, 0.0], abs=1e-12)
+        assert w1 == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(-0.4326, abs=2e-4)
-        assert np.allclose(g, fd_gradient(spec, [1.0, 0.0]), rtol=1e-6, atol=1e-9)
-
-    def test_errors_at_origin(self):
-        with pytest.raises(pot.PotentialError):
-            pot.gradient(PL21, [0.0, 0.0])
+        assert w1 == pytest.approx(fd_derivative(spec, 1.0), rel=1e-6, abs=1e-9)
 
     def test_finite_difference_consistency(self):
         rng = np.random.default_rng(3)
         for spec in (PL21, MORSE_U, PL3_SING, pot.PowerLaw(1, 3.0, 0.5)):
-            d = spec.dimension
-            for _ in range(100):
-                x = rng.normal(size=d)
-                r = np.linalg.norm(x)
-                if r < 1e-12:
-                    continue
-                x *= rng.uniform(0.1, 10.0) / r
-                g = pot.gradient(spec, x)
-                fd = fd_gradient(spec, x)
-                scale = max(np.linalg.norm(fd), 1e-8)
-                assert np.linalg.norm(g - fd) <= 1e-5 * scale
+            r = rng.uniform(0.1, 10.0, size=100)
+            w1, fd = spec.radial_derivative(r), fd_derivative(spec, r)
+            assert np.all(np.abs(w1 - fd) <= 1e-5 * np.maximum(np.abs(fd), 1e-8))
 
 
 class TestMetadata:
