@@ -76,7 +76,13 @@ class Configuration:
 
     @classmethod
     def load_json(cls, path) -> "Configuration":
-        return cls.from_json(json_file(path, "configuration", ConfigurationError))
+        """The configuration of the JSON file at `path`; a file that
+        from_json refuses raises ConfigurationError naming the file."""
+        obj = json_file(path, "configuration", ConfigurationError)
+        try:
+            return cls.from_json(obj)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"configuration {path}: {exc}") from None
 
     def save_csv(self, path):
         with open(path, "w", newline="") as fh:

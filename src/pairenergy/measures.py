@@ -367,9 +367,10 @@ class _Basis:
 
     Nodes 0..n-1 are the rows (the atoms of a) and n..n+m-1 the columns; a
     basis is a tree of n + m - 1 cells rooted at the first column.  Each node
-    keeps its parent, the flow of its cell to the parent, its depth and its
-    children, and `pot` holds the potentials u_i, v_j with u_i + v_j = c_ij
-    on every tree cell.
+    keeps its parent, the flow of its cell to the parent and its children,
+    and `pot` holds the potentials u_i, v_j with u_i + v_j = c_ij on every
+    tree cell.  `mark` holds the stamp of the last walk that reached each
+    node; `pivot` finds the apex of its cycle with two such walks.
 
     The start is the north-west-corner rule, each new cell hanging a new row
     or column from the current one.  A row is left on a tie, so a zero-flow
@@ -382,9 +383,10 @@ class _Basis:
     def __init__(self, cost: np.ndarray, a: np.ndarray, b: np.ndarray):
         n, m = cost.shape
         self.cost, self.n = cost, n
-        self.parent, self.flow, self.depth = [-1] * (n + m), [0.0] * (n + m), [0] * (n + m)
+        self.parent, self.flow = [-1] * (n + m), [0.0] * (n + m)
         self.children = [[] for _ in self.parent]
-        self.parent[0], self.depth[0], self.children[n] = n, 1, [0]
+        self.mark, self.stamp = [0] * (n + m), 0
+        self.parent[0], self.children[n] = n, [0]
         i = j = node = 0    # node: the row or column that cell (i, j) hangs
         s, t = a[0], b[0]
         while True:
@@ -399,7 +401,7 @@ class _Basis:
             else:
                 j += 1
                 node, up, t = n + j, i, b[j]
-            self.parent[node], self.depth[node] = up, self.depth[up] + 1
+            self.parent[node] = up
             self.children[up].append(node)
         self.side = np.concatenate([np.ones(n), -np.ones(m)])   # u and v shift apart
         self.pot = self.potentials()
@@ -412,24 +414,41 @@ class _Basis:
     def potentials(self) -> np.ndarray:
         """The potentials recomputed from the tree, 0 at the root."""
         pot = np.zeros(len(self.parent))
-        for x in sorted(range(len(self.parent)), key=self.depth.__getitem__)[1:]:
+        order = [self.n]
+        for x in order:     # parents first, as the list grows
+            order.extend(self.children[x])
+        for x in order[1:]:
             pot[x] = self.cost[self.cell(x)] - pot[self.parent[x]]
         return pot
 
     def pivot(self, i: int, j: int, rc: float):
         """Bring cell (i, j), whose reduced cost rc is negative, into the basis;
         j is a column node."""
-        n, parent, flow, depth, children = self.n, self.parent, self.flow, self.depth, \
-            self.children
-        # the cycle: cell (i, j) and the tree paths from i and j to their apex
-        p, q, up_i, up_j = i, j, [], []
-        while p != q:
-            if depth[p] >= depth[q]:
-                up_i.append(p)
+        n, parent, flow, children, mark = self.n, self.parent, self.flow, \
+            self.children, self.mark
+        # the cycle: cell (i, j) and the tree paths from i and j to their
+        # apex.  Two walks go up from i and j in turn, each stamping the
+        # nodes it reaches; the first node one walk finds stamped by the
+        # other is the apex, and the other walk's path is cut there.
+        si = self.stamp = self.stamp + 2
+        sj = si + 1
+        mark[i], mark[j] = si, sj
+        p, q, up_i, up_j = i, j, [i], [j]
+        while True:
+            if p != n:      # the root has no parent
                 p = parent[p]
-            else:
-                up_j.append(q)
+                if mark[p] == sj:
+                    del up_j[up_j.index(p):]
+                    break
+                mark[p] = si
+                up_i.append(p)
+            if q != n:
                 q = parent[q]
+                if mark[q] == si:
+                    del up_i[up_i.index(q):]
+                    break
+                mark[q] = sj
+                up_j.append(q)
         # flow goes apex -> i -> j -> apex: a cell loses it where its child is
         # a row on the side of i or a column on the side of j.  Cunningham's
         # rule: the last blocking cell met from the apex leaves.
@@ -455,12 +474,12 @@ class _Basis:
             parent[x], flow[x] = y, flow[y]
         parent[enter], flow[enter] = other, delta
         children[other].append(enter)
-        # the cut-off subtree gets new depths, and its potentials shift so
-        # that u_i + v_j = c_ij on the entering cell
+        # the potentials of the cut-off subtree shift so that u_i + v_j = c_ij
+        # on the entering cell, through one index array of its nodes
         sub = [enter]
-        for x in sub:       # parents first, as the list grows
-            depth[x] = depth[parent[x]] + 1
+        for x in sub:       # the list grows as it is read
             sub.extend(children[x])
+        sub = np.fromiter(sub, np.intp, len(sub))
         self.pot[sub] += (rc if enter < n else -rc) * self.side[sub]
 
 

@@ -420,6 +420,17 @@ def test_unreadable_json_file_is_one_config_error(tmp_path, capsys, role, conten
     assert f"{bad}: not a UTF-8 JSON file: " in err
 
 
+def test_refused_configuration_file_is_named(tmp_path, capsys):
+    # valid JSON whose content Configuration.from_json refuses
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"d": 3, "points": [[0, 0], [1, 0]]}))
+    cfg = write_config(tmp_path, "c.json", {"potential": PL21_JSON,
+                                            "configuration_file": str(bad)})
+    assert run("analyze", cfg, tmp_path / "out") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: configuration {bad}: "
+                                       "points do not match the declared dimension\n")
+
+
 def test_cli_import_loads_no_scipy():
     # the package imports no scipy
     code = ("import sys, pairenergy.cli; "

@@ -313,6 +313,26 @@ class TestWasserstein:
         assert dmn >= means - 1e-9
         assert dmn <= mea.wasserstein1(mu, la) + mea.wasserstein1(la, nu) + 1e-9
 
+    @settings(max_examples=100, deadline=None)
+    @given(PLANAR_ATOMS, PLANAR_ATOMS, st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+           st.floats(0.1, 10.0), st.randoms(use_true_random=False))
+    def test_invariances_d2(self, a, b, shift, s, rnd):
+        # W1 does not see a common translation or the order of the atoms,
+        # and scales with a uniform scaling
+        mu, nu = planar_measure(a), planar_measure(b)
+        w = mea.wasserstein1(mu, nu)
+
+        def moved(meas, f):
+            order = rnd.sample(range(meas.n_atoms), meas.n_atoms)
+            return mea.AtomicMeasure(f(meas.points[order]), meas.weights[order])
+
+        shifted = [moved(x, lambda p: p + np.array(shift)) for x in (mu, nu)]
+        scaled = [moved(x, lambda p: s * p) for x in (mu, nu)]
+        assert mea.wasserstein1(*shifted) == pytest.approx(w, rel=1e-9, abs=1e-12)
+        assert mea.wasserstein1(moved(mu, np.asarray), nu) == pytest.approx(w, rel=1e-9,
+                                                                            abs=1e-12)
+        assert mea.wasserstein1(*scaled) == pytest.approx(s * w, rel=1e-9, abs=1e-12)
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_matches_linprog(self, data):
@@ -361,13 +381,41 @@ class TestWasserstein:
         n, m = len(a), len(b)
         basis = mea._Basis(np.ones((n, m)), a, b)
         assert_strongly_feasible(basis)
-        rows, cols = np.zeros(n), np.zeros(m)
-        for x in range(n + m):
-            if x != n:
-                i, j = basis.cell(x)
-                rows[i] += basis.flow[x]
-                cols[j] += basis.flow[x]
+        rows, cols = marginals(basis)
         assert rows == pytest.approx(a, abs=1e-15) and cols == pytest.approx(b, abs=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_pivot_keeps_marginals_potentials_and_cost(self, data):
+        # integer weights and costs tie often, so zero-flow cells and
+        # degenerate pivots are common; the root column is drawn first
+        wa = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=7), label="wa")
+        wb = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=7), label="wb")
+        a, b = np.array(wa) / sum(wa), np.array(wb) / sum(wb)
+        n, m = len(a), len(b)
+        cost = np.array(data.draw(st.lists(st.lists(st.integers(0, 5), min_size=m, max_size=m),
+                                           min_size=n, max_size=n), label="cost"), float)
+        basis = mea._Basis(cost, a, b)
+        for _ in range(data.draw(st.integers(1, 4), label="pivots")):
+            reduced = cost - basis.pot[:n, None] - basis.pot[n:]
+            cells = sorted(zip(*np.nonzero(reduced < -1e-9)), key=lambda c: (c[1], c[0]))
+            if not cells:
+                break
+            i, col = data.draw(st.sampled_from(cells), label="cell")
+            rc, before = float(reduced[i, col]), primal_cost(basis)
+            basis.pivot(int(i), n + int(col), rc)
+            assert_strongly_feasible(basis)
+            rows, cols = marginals(basis)
+            assert rows == pytest.approx(a, abs=1e-12) and cols == pytest.approx(b, abs=1e-12)
+            for x in range(n + m):
+                if x != n:
+                    row, c = basis.cell(x)
+                    assert basis.pot[row] + basis.pot[n + c] == pytest.approx(cost[row, c],
+                                                                              abs=1e-12)
+            enter = i if basis.parent[i] == n + col else n + col
+            assert basis.cell(enter) == (i, col)
+            assert primal_cost(basis) - before == pytest.approx(basis.flow[enter] * rc,
+                                                                abs=1e-12)
 
     def test_pivots_keep_the_tree_strongly_feasible(self, monkeypatch):
         pivot, pivots = mea._Basis.pivot, []
@@ -414,13 +462,35 @@ class TestWasserstein:
 def assert_strongly_feasible(basis):
     """A tree rooted at the first column whose zero-flow cells each hang a
     row from a column, so that every node can send flow to the root."""
-    n, parent, depth, flow = basis.n, basis.parent, basis.depth, basis.flow
+    n, parent, flow = basis.n, basis.parent, basis.flow
     assert [x for x, p in enumerate(parent) if p < 0] == [n]
     for x, p in enumerate(parent):
         if x != n:
-            assert (x < n) != (p < n) and depth[x] == depth[p] + 1
+            assert (x < n) != (p < n)
             assert x in basis.children[p]
             assert flow[x] > 0.0 or (flow[x] == 0.0 and x < n)
+            # no cycle: the root is reached within n + m parent steps
+            y, steps = x, 0
+            while y != n and steps < len(parent):
+                y, steps = parent[y], steps + 1
+            assert y == n
+
+
+def marginals(basis):
+    """The row and column sums of the tree's flows."""
+    n = basis.n
+    rows, cols = np.zeros(n), np.zeros(len(basis.parent) - n)
+    for x in range(len(basis.parent)):
+        if x != n:
+            i, j = basis.cell(x)
+            rows[i] += basis.flow[x]
+            cols[j] += basis.flow[x]
+    return rows, cols
+
+
+def primal_cost(basis):
+    return math.fsum(basis.flow[x] * basis.cost[basis.cell(x)]
+                     for x in range(len(basis.parent)) if x != basis.n)
 
 
 class TestConversions:
