@@ -10,7 +10,6 @@ from .configuration import (
     ball_mass,
     diameter,
     discrete_energy,
-    energy_gradient,
     min_pair_distance,
     per_particle_forces,
     per_particle_potentials,

@@ -1,8 +1,8 @@
-"""The four checks every entry point shares: an integer at or above a minimum,
-a finite number inside an open interval, a UTF-8 JSON file, and a JSON object
-with a given key set.  Each raises the caller's own error class, so a library
-call refuses what the CLI refuses, with its module's error, and a malformed
-input file is one error message, never a traceback.
+"""The checks every entry point shares: an integer at or above a minimum, a
+finite number inside an open interval, an array of numbers, a UTF-8 JSON file,
+and a JSON object with a given key set.  Each raises the caller's own error
+class, so a library call refuses what the CLI refuses, with its module's error,
+and a malformed input file is one error message, never a traceback.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import math
 from numbers import Integral, Real
+
+import numpy as np
 
 
 def integer(v, name: str, error: type[Exception], minimum: float = 1) -> int:
@@ -30,6 +32,19 @@ def real(v, name: str, error: type[Exception], above: float = -math.inf,
     if not above < x < below:   # false for nan and, as the bounds are open, for +-inf
         raise error(f"{name} must be a finite number in ({above:g}, {below:g})")
     return x
+
+
+def reals(v, name: str, error: type[Exception]) -> np.ndarray:
+    """v as a new float array when every entry is a number, not a bool or a
+    string, and nested rows are of one length."""
+    arr = v if isinstance(v, np.ndarray) else np.array(v, dtype=object)
+    try:
+        if arr.dtype.kind in "iuf" or arr.dtype.kind == "O" and all(
+                isinstance(x, Real) and not isinstance(x, bool) for x in arr.flat):
+            return np.array(arr, dtype=float)
+    except OverflowError:   # an int beyond the float range
+        pass
+    raise error(f"{name} must hold numbers only, in rows of one length")
 
 
 def json_file(path, what: str, error: type[Exception]):

@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from . import pairs
-from .checks import integer, json_file, json_object, real
+from .checks import integer, json_file, json_object, real, reals
 from .potentials import PotentialError, PotentialSpec
 
 
@@ -27,7 +27,7 @@ class Configuration:
     __slots__ = ("points",)
 
     def __init__(self, points):
-        pts = np.array(points, dtype=float)
+        pts = reals(points, "points", ConfigurationError)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
@@ -59,13 +59,11 @@ class Configuration:
     @classmethod
     def from_json(cls, obj: dict) -> "Configuration":
         """The configuration of a `to_json` object; `d` must be an integer >= 1
-        and `points` rows of d numbers, else ConfigurationError."""
+        and `points` rows of d numbers, none a bool or a string, else
+        ConfigurationError."""
         json_object(obj, "configuration", ConfigurationError, required=("d", "points"))
         d = integer(obj["d"], "d", ConfigurationError)
-        try:
-            pts = np.array(obj["points"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"points must be rows of numbers: {exc}") from None
+        pts = reals(obj["points"], "points", ConfigurationError)
         if pts.ndim != 2 or pts.shape[1] != d:
             raise ConfigurationError("points do not match the declared dimension")
         return cls(pts)
@@ -85,6 +83,8 @@ class Configuration:
             raise ConfigurationError(f"configuration {path}: {exc}") from None
 
     def save_csv(self, path):
+        """One row of d numbers per point: the only writer of the CSV input
+        that `analyze` reads through load_csv."""
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             for row in self.points:
@@ -92,14 +92,13 @@ class Configuration:
 
     @classmethod
     def load_csv(cls, path) -> "Configuration":
+        """The configuration of the CSV file at `path`, one point per row; a
+        malformed file raises ConfigurationError naming the file."""
         with open(path, newline="") as fh:
-            try:
-                rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
-                pts = np.array(rows, dtype=float)
+            try:   # ConfigurationError is a ValueError
+                return cls([[float(v) for v in row] for row in csv.reader(fh) if row])
             except (ValueError, csv.Error) as exc:
-                raise ConfigurationError(
-                    f"{path}: rows must be numbers, all of one length: {exc}") from None
-        return cls(pts)
+                raise ConfigurationError(f"configuration {path}: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -134,11 +133,6 @@ def per_particle_forces(spec: PotentialSpec, X: Configuration) -> np.ndarray:
             raise ConfigurationError("coincident pair: gradient undefined")
         out.append(blk.forces(spec.radial_derivative))
     return np.concatenate(out) / X.n
-
-
-def energy_gradient(spec: PotentialSpec, X: Configuration) -> np.ndarray:
-    """Gradient of E_N: component i is (1/N^2) sum_{j != i} grad W(x_i - x_j)."""
-    return per_particle_forces(spec, X) / X.n
 
 
 def diameter(X: Configuration) -> float:

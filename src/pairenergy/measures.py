@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from . import pairs
-from .checks import integer, json_file, json_object, real
+from .checks import integer, json_file, json_object, real, reals
 from .configuration import Configuration, discrete_energy
 from .potentials import PotentialError, PotentialSpec
 
@@ -60,10 +60,10 @@ class AtomicMeasure:
     __slots__ = ("points", "weights")
 
     def __init__(self, points, weights):
-        pts = np.array(points, dtype=float)
+        pts = reals(points, "points", MeasureError)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
-        w = np.array(weights, dtype=float)
+        w = reals(weights, "weights", MeasureError)
         if pts.ndim != 2 or w.shape != (pts.shape[0],):
             raise MeasureError("points must be (m, d) and weights (m,)")
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(w))):
@@ -97,6 +97,7 @@ class AtomicMeasure:
 class GridDensity:
     """Piecewise-constant probability density on an axis-aligned box [lo, hi)^d.
 
+    `lo` and `hi` are copied, each a vector of d >= 1 finite numbers;
     `resolution` cells per side, an integer >= 1; `masses` holds the per-cell
     masses flattened in C order (axis 0 slowest), summing to 1.  Invalid
     arguments raise MeasureError.
@@ -105,14 +106,15 @@ class GridDensity:
     __slots__ = ("lo", "hi", "resolution", "masses")
 
     def __init__(self, lo, hi, resolution, masses):
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise MeasureError("lo and hi must be vectors of equal length")
+        lo, hi = (np.array([real(v, f"{name}[{k}]", MeasureError) for k, v in
+                            enumerate(np.atleast_1d(np.asarray(box, dtype=object)))])
+                  for name, box in (("lo", lo), ("hi", hi)))
+        if lo.shape != hi.shape or lo.size == 0:
+            raise MeasureError("lo and hi must be nonempty vectors of equal length")
         if not np.all(hi > lo):
             raise MeasureError("box must be nondegenerate (hi > lo)")
         g = integer(resolution, "resolution", MeasureError)
-        m = np.array(masses, dtype=float).reshape(-1)
+        m = reals(masses, "masses", MeasureError).reshape(-1)
         if m.shape != (g ** len(lo),):
             raise MeasureError(f"expected {g ** len(lo)} cell masses, got {m.shape}")
         if np.any(m < 0) or not np.all(np.isfinite(m)):
@@ -138,10 +140,7 @@ class GridDensity:
         return (self.hi - self.lo) / self.resolution
 
     def cell_centres(self) -> np.ndarray:
-        g, d = self.resolution, self.dim
-        axes = [self.lo[k] + (np.arange(g) + 0.5) * self.cell_width[k] for k in range(d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=1)
+        return cell_centres(self.lo, self.cell_width, self.resolution)
 
     def save(self, path):
         """JSON header plus a sidecar CSV mass array, named relative to the header."""
@@ -162,18 +161,6 @@ class GridDensity:
         head = json_object(json_file(path, "grid density", MeasureError),
                            f"grid density {path}", MeasureError,
                            required=("d", "lo", "hi", "resolution", "mass_csv"))
-        for key in ("d", "resolution"):
-            integer(head[key], f"grid density {path}: {key}", MeasureError)
-        for key in ("lo", "hi"):
-            box = head[key]
-            try:
-                if isinstance(box, list) and len(box) == head["d"]:
-                    head[key] = [real(v, key, MeasureError) for v in box]
-                    continue
-            except MeasureError:
-                pass
-            raise MeasureError(f"grid density {path}: {key} must be a list of d "
-                               "finite numbers")
         if not isinstance(head["mass_csv"], str):
             raise MeasureError(f"grid density {path}: mass_csv must be a file name string")
         mass_path = os.path.join(os.path.dirname(str(path)), head["mass_csv"])
@@ -182,12 +169,26 @@ class GridDensity:
         except ValueError as exc:
             raise MeasureError(f"grid density {path}: {head['mass_csv']} must hold one "
                                f"number per line: {exc}") from None
-        return cls(head["lo"], head["hi"], head["resolution"], masses)
+        try:
+            rho = cls(head["lo"], head["hi"], head["resolution"], masses)
+            if integer(head["d"], "d", MeasureError) != rho.dim:
+                raise MeasureError(f"d must be the length of lo and hi, {rho.dim}")
+        except MeasureError as exc:
+            raise MeasureError(f"grid density {path}: {exc}") from None
+        return rho
 
 
 # --------------------------------------------------------------------------
 # Builders and conversions
 # --------------------------------------------------------------------------
+
+def cell_centres(lo, width, g: int) -> np.ndarray:
+    """The centres, in C order (axis 0 slowest), of the g^d cells with the
+    given width per axis that tile the box from corner lo."""
+    axes = [x + (np.arange(g) + 0.5) * w for x, w in zip(lo, width)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=1)
+
 
 def uniform_box(d: int, L: float, resolution: int) -> GridDensity:
     """Uniform probability on [-L, L)^d; d and resolution must be integers >= 1,
@@ -236,12 +237,8 @@ def regrid(rho: GridDensity, multiple_of: int) -> GridDensity:
     # per-axis overlap fractions: frac[K, k] = |old cell k ∩ new cell K| / |old cell k|
     edges_old = np.arange(g + 1) / g
     edges_new = np.arange(g2 + 1) / g2
-    frac = np.zeros((g2, g))
-    for K in range(g2):
-        a, b = edges_new[K], edges_new[K + 1]
-        left = np.maximum(edges_old[:-1], a)
-        right = np.minimum(edges_old[1:], b)
-        frac[K] = np.maximum(right - left, 0.0) * g
+    frac = np.maximum(np.minimum(edges_old[1:], edges_new[1:, None])
+                      - np.maximum(edges_old[:-1], edges_new[:-1, None]), 0.0) * g
     m = rho.masses.reshape((g,) * d)
     for axis in range(d):
         m = np.tensordot(frac, m, axes=([1], [axis]))

@@ -72,6 +72,11 @@ class OptimOpts:
 
 @dataclass(frozen=True)
 class OptimResult:
+    """The outcome of a local solve or a multistart search.  energy_trace, the
+    energy at the start and after each step of a local solve, is left out of
+    to_json; it stays because the tests that check the descent is monotone
+    read it."""
+
     best: Configuration
     energy: float
     force_residual: float

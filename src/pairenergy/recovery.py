@@ -13,7 +13,6 @@ carry mass 1/N.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 from . import measures
 from .checks import integer
 from .configuration import Configuration, discrete_energy
-from .measures import AtomicMeasure, GridDensity, density_to_atoms, \
+from .measures import AtomicMeasure, GridDensity, cell_centres, density_to_atoms, \
     continuum_energy_grid, wasserstein1
 from .potentials import PotentialSpec
 
@@ -67,19 +66,6 @@ def _box_halfwidth(rho: GridDensity) -> float:
     return float(hi[0])
 
 
-def _subgrid_nodes(lo: np.ndarray, side: float, segments: int, count: int,
-                   d: int) -> np.ndarray:
-    """First `count` interval-centre nodes, lexicographic, of the grid that
-    splits [lo, lo+side)^d into segments^d equal cells."""
-    h = side / segments
-    out = np.empty((count, d))
-    for row, idx in enumerate(itertools.product(range(segments), repeat=d)):
-        if row == count:
-            break
-        out[row] = lo + (np.array(idx, dtype=float) + 0.5) * h
-    return out
-
-
 def build_recovery(rho: GridDensity, N: int) -> RecoveryResult:
     """Construct the N-particle recovery configuration for rho.
 
@@ -108,32 +94,30 @@ def build_recovery(rho: GridDensity, N: int) -> RecoveryResult:
         m = m.reshape(shape).sum(axis=axis + 1)
     cube_mass = m.reshape(-1)  # lexicographic cube order
 
-    scale = n ** (4 * d)
-    counts = []
-    for rho_i in cube_mass:
-        t = scale * float(rho_i)
-        counts.append(int(math.floor(t + 1e-12 * max(1.0, t))))
+    t = float(n ** (4 * d)) * cube_mass
+    counts = np.floor(t + 1e-12 * np.maximum(1.0, t)).astype(int).tolist()
     N_p = sum(counts)
     if N_p > N:
         raise AssertionError("main-particle count exceeded N; construction bug")
     N_e = N - N_p
 
+    # each cube's main particles are the first N_i centres of its sub-grid of
+    # segments^d cells
     side = 2.0 * L / n
+    corners = -L + side * np.indices((n,) * d, dtype=float).reshape(d, -1).T
     pts = []
-    for cube_idx, N_i in zip(itertools.product(range(n), repeat=d), counts):
-        if N_i == 0:
-            continue
-        lo = -L + side * np.array(cube_idx, dtype=float)
-        segments = _integer_root(N_i, d) + 1
-        pts.append(_subgrid_nodes(lo, side, segments, N_i, d))
+    for lo, N_i in zip(corners, counts):
+        if N_i > 0:
+            segments = _integer_root(N_i, d) + 1
+            pts.append(cell_centres(lo, [side / segments] * d, segments)[:N_i])
 
     if N_e > 0:
         s_e = _integer_root(N_e, d) + 1
         if s_e ** d < N_e:
             raise AssertionError("auxiliary grid capacity below N_e; construction bug")
         spacing = 1.0 / (math.sqrt(d) * s_e)
-        aux_lo = np.full(d, 3.0 * L)
-        pts.append(_subgrid_nodes(aux_lo, s_e * spacing, s_e, N_e, d))
+        aux_side = s_e * spacing
+        pts.append(cell_centres([3.0 * L] * d, [aux_side / s_e] * d, s_e)[:N_e])
 
     config = Configuration(np.concatenate(pts, axis=0))
     if config.n != N:

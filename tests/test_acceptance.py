@@ -20,6 +20,7 @@ from pairenergy import diagnostics as diag
 from pairenergy import measures as mea
 from pairenergy import potentials as pot
 from pairenergy import recovery as rec
+from pairenergy.optimizer import OptimOpts, minimize_multistart
 
 PL2 = pot.PowerLaw(2, 2.0, 1.0)
 PL1 = pot.PowerLaw(1, 2.0, 1.0)
@@ -199,7 +200,7 @@ def test_criterion_08_oracle_equivalences():
     for _ in range(100):
         n = int(rng.integers(2, 8))
         x = cfg.Configuration(rng.normal(size=(n, 2)) * 2.0)
-        g = cfg.energy_gradient(PL2, x)
+        g = cfg.per_particle_forces(PL2, x) / x.n
         fd = np.zeros_like(g)
         for i in range(n):
             for k in range(2):
@@ -292,3 +293,33 @@ def test_criterion_10_determinism_across_workers(tmp_path):
     elapsed = time.perf_counter() - t0
     report(10, 600, elapsed,
            "criterion 1/2/4/7 fixtures byte-identical across workers {1, 4}")
+
+
+def centred_measure(x):
+    return mea.AtomicMeasure.empirical(cfg.Configuration(x.points - x.points.mean(axis=0)))
+
+
+def test_criterion_11_minimisers_approach_a_continuum_minimiser(solve):
+    t0 = time.perf_counter()
+    # d = 1: E of PL1 is least, -1/6, for the uniform density on an interval of
+    # length 2, and the centred minimiser of E_N is the N midpoints of N equal
+    # cells of [-1, 1], so E_N + 1/6 = 1/(6 N^2) and W1 = 1/(2 N), the latter
+    # also against the 4096 cell centres, as N divides 4096
+    uniform = mea.density_to_atoms(mea.uniform_box(1, 1.0, 4096))
+    for n in (8, 16, 32, 64, 128, 256):
+        res = minimize_multistart(PL1, n, OptimOpts(seed=1, n_starts=4, grad_tol=1e-10))
+        assert res.energy + 1.0 / 6.0 == pytest.approx(1.0 / (6 * n * n), rel=1e-9)
+        w1 = mea.wasserstein1(centred_measure(res.best), uniform)
+        assert w1 == pytest.approx(1.0 / (2 * n), rel=1e-9)
+
+    # d = 2: the centred MORSE_U minimisers of criterion 4 draw together
+    ns = (50, 100, 200, 400)
+    minima = [centred_measure(best(solve, MORSE_U, n).best) for n in ns]
+    w1s = [mea.wasserstein1(a, b) for a, b in zip(minima, minima[1:])]
+    assert all(b < a for a, b in zip(w1s, w1s[1:])), w1s
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 300
+    report(11, 300, elapsed,
+           "d = 1 closed forms E_N + 1/6 = 1/(6N^2), W1 = 1/(2N) at N = 8..256; "
+           f"d = 2 W1 between consecutive minimisers {[round(w, 4) for w in w1s]} "
+           "decreasing")

@@ -53,6 +53,18 @@ class TestChecks:
         assert checks.real(3, "t", ValueError) == 3.0
         assert checks.real(-1e308, "t", ValueError) == -1e308
 
+    @pytest.mark.parametrize("v", [[[0, "a"]], [[True, 0], [1, 2]], [[0, 0], [1]], [10**400],
+                                   np.array([True]), "1", None, [1.0, [2.0]]])
+    def test_reals_refuses_what_is_not_numbers(self, v):
+        with pytest.raises(Refused, match="^p must hold numbers only, in rows of one length$"):
+            checks.reals(v, "p", Refused)
+
+    def test_reals_copies_to_floats(self):
+        a = np.arange(4)
+        out = checks.reals(a, "p", ValueError)
+        assert out.dtype == float and np.array_equal(out, a) and not np.shares_memory(out, a)
+        assert checks.reals([[1, np.float32(2.5)], [NAN, INF]], "p", ValueError).shape == (2, 2)
+
     def test_json_file_reads_utf8(self, tmp_path):
         path = tmp_path / "a.json"
         path.write_text('{"x": ["\u00e9", 1.5]}', encoding="utf-8")
@@ -115,6 +127,17 @@ class TestChecks:
     (lambda: diag.fit_power_decay([(2, -1.0), (3, 1.0)]), cfg.ConfigurationError),
     (lambda: diag.fit_power_decay([(2, 1.0), (2, 0.5)]), cfg.ConfigurationError),
     (lambda: rec._integer_root(-1, 2), rec.RecoveryError),
+    (lambda: cfg.Configuration([[0, "a"]]), cfg.ConfigurationError),
+    (lambda: mea.AtomicMeasure([[0, "x"]], [1.0]), mea.MeasureError),
+    (lambda: cfg.Configuration.from_json({"d": 2, "points": [[True, 0], [1, 2]]}),
+     cfg.ConfigurationError),
+    (lambda: cfg.Configuration.from_json({"d": 2, "points": [[0, "1"], [1, 2]]}),
+     cfg.ConfigurationError),
+    (lambda: mea.GridDensity([0.0], [INF], 4, np.full(4, 0.25)), mea.MeasureError),
+    (lambda: mea.GridDensity([True], [2.0], 4, np.full(4, 0.25)), mea.MeasureError),
+    (lambda: mea.GridDensity(["a"], [1.0], 4, np.full(4, 0.25)), mea.MeasureError),
+    (lambda: mea.GridDensity([], [], 4, [1.0]), mea.MeasureError),
+    (lambda: mea.GridDensity([0.0], [1.0], 2, ["a", "b"]), mea.MeasureError),
 ], ids=["scan_negative_tolerance", "scan_empty_scales", "scan_float_resolution",
         "ball_mass_nan_radius", "report_nan_lower_mass_radius", "morrey_nan_exponent",
         "uniform_box_d0", "uniform_box_infinite_L", "uniform_box_float_resolution",
@@ -123,7 +146,11 @@ class TestChecks:
         "grid_density_float_resolution", "build_recovery_float_N", "aux_bound_float_N",
         "ball_mass_float_index", "laplacian_nan_eps", "stationarity_nan_eps",
         "multistart_float_N", "fit_negative_value", "fit_one_distinct_N",
-        "integer_root_negative"])
+        "integer_root_negative", "configuration_string_coordinate",
+        "atomic_string_coordinate", "from_json_bool_coordinate",
+        "from_json_string_coordinate", "grid_density_infinite_hi",
+        "grid_density_bool_lo", "grid_density_string_lo", "grid_density_no_axes",
+        "grid_density_string_masses"])
 def test_library_refuses_what_the_cli_refuses(call, error):
     with pytest.raises(error):
         call()

@@ -345,24 +345,28 @@ def test_values_read_after_a_solve_exit_before_it(tmp_path, monkeypatch, command
 
 
 def test_grid_file_mass_error_is_one_plain_message(tmp_path, capsys):
-    # the constructor's MeasureError reaches the user as it is, with the mass
-    # sum as a plain float
-    mea.uniform_box(1, 1.0, 4).save(tmp_path / "rho.json")
+    # the constructor's MeasureError reaches the user after the file name, with
+    # the mass sum as a plain float
+    grid = tmp_path / "rho.json"
+    mea.uniform_box(1, 1.0, 4).save(grid)
     (tmp_path / "rho.json.masses.csv").write_text("1\n1\n1\n1\n")
-    cfg = write_config(tmp_path, "c.json",
-                       dict(RECOVER_1D, measure={"grid_file": str(tmp_path / "rho.json")}))
+    cfg = write_config(tmp_path, "c.json", dict(RECOVER_1D, measure={"grid_file": str(grid)}))
     assert run("recover", cfg, tmp_path / "out") == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == "config error: cell masses must sum to 1 (got 4.0)\n"
+    assert capsys.readouterr().err == (f"config error: grid density {grid}: "
+                                       "cell masses must sum to 1 (got 4.0)\n")
 
 
 @pytest.mark.parametrize("edit, message", [
     (lambda h: h.pop("mass_csv"), "missing key 'mass_csv'"),
     (lambda h: h.update(resolution="abc"), "resolution must be an integer >= 1"),
-    (lambda h: h.update(lo=["a", -1]), "lo must be a list of d finite numbers"),
+    (lambda h: h.update(lo=["a", -1]), "lo[0] must be a finite number in (-inf, inf)"),
+    (lambda h: h.update(hi=[1, float("inf")]), "hi[1] must be a finite number in (-inf, inf)"),
+    (lambda h: h.update(d=3), "d must be the length of lo and hi, 2"),
+    (lambda h: h.update(d=True), "d must be an integer >= 1"),
     (lambda h: h.update(mass_csv=5), "mass_csv must be a file name string"),
     (None, "must be a JSON object"),
-], ids=["missing_mass_csv", "string_resolution", "string_lo", "integer_mass_csv",
-        "list_header"])
+], ids=["missing_mass_csv", "string_resolution", "string_lo", "infinite_hi", "wrong_d",
+        "bool_d", "integer_mass_csv", "list_header"])
 def test_grid_file_header_error_is_one_plain_message(tmp_path, capsys, edit, message):
     # every malformed header names the key at fault, with no Python repr
     grid = tmp_path / "rho.json"
@@ -429,6 +433,17 @@ def test_refused_configuration_file_is_named(tmp_path, capsys):
     assert run("analyze", cfg, tmp_path / "out") == cli.EXIT_CONFIG
     assert capsys.readouterr().err == (f"config error: configuration {bad}: "
                                        "points do not match the declared dimension\n")
+
+
+def test_refused_csv_configuration_is_named(tmp_path, capsys):
+    # a CSV the reader parses but the Configuration constructor refuses
+    bad = tmp_path / "bad.csv"
+    bad.write_text("0,0\nnan,1\n")
+    cfg = write_config(tmp_path, "c.json", {"potential": PL21_JSON,
+                                            "configuration_file": str(bad)})
+    assert run("analyze", cfg, tmp_path / "out") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: configuration {bad}: "
+                                       "all coordinates must be finite\n")
 
 
 def test_cli_import_loads_no_scipy():

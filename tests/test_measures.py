@@ -65,6 +65,13 @@ class TestCarriers:
         assert rho.masses.sum() == pytest.approx(1.0, abs=1e-15)
         assert rho.cell_centres().shape == (64, 2)
 
+    def test_grid_copies_the_callers_box(self):
+        lo, hi = np.array([0.0, -1.0]), np.array([1.0, 2.0])
+        rho = mea.GridDensity(lo, hi, 2, np.full(4, 0.25))
+        assert lo.flags.writeable and hi.flags.writeable
+        lo[0] = 5.0
+        assert rho.lo.tolist() == [0.0, -1.0] and not rho.lo.flags.writeable
+
     def test_grid_save_load(self, tmp_path):
         rho = mea.uniform_box(1, 1.0, 16)
         p = tmp_path / "rho.json"
@@ -513,6 +520,29 @@ class TestConversions:
         out = mea.regrid(rho, 3)
         assert out.resolution == 66
         assert np.allclose(out.masses, 1.0 / 66, atol=1e-15)
+
+    def test_regrid_matches_interval_overlap_oracle(self):
+        # per cell: |old cell k ∩ new cell K| / |old cell k|, then one contraction
+        # per axis; bit for bit
+        rng = np.random.default_rng(26)
+        for _ in range(60):
+            d = int(rng.integers(1, 4))
+            g = int(rng.integers(1, {1: 40, 2: 12, 3: 6}[d]))
+            mult = int(rng.integers(1, 9))
+            m = rng.random(g ** d) * (rng.random(g ** d) < 0.7)
+            m[0] += 0.1
+            rho = mea.GridDensity([-1.0] * d, rng.uniform(0.5, 2.0, d), g, m / m.sum())
+            g2 = -(-g // mult) * mult
+            frac = np.array([[max(min((k + 1) / g, (K + 1) / g2) - max(k / g, K / g2), 0.0) * g
+                              for k in range(g)] for K in range(g2)])
+            want = rho.masses.reshape((g,) * d)
+            for axis in range(d):
+                want = np.moveaxis(np.tensordot(frac, want, axes=([1], [axis])), 0, axis)
+            want = want.reshape(-1)
+            want = want / want.sum() if g2 != g else rho.masses
+            out = mea.regrid(rho, mult)
+            assert out.resolution == g2
+            assert out.masses.tobytes() == want.tobytes()
 
     def test_regrid_preserves_cdf(self):
         rng = np.random.default_rng(25)

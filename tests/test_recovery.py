@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -102,6 +103,27 @@ class TestBuildRecovery:
         assert np.all(main >= -1.0) and np.all(main < 1.0)
         aux = r.config.points[r.N_p:]
         assert np.all(aux >= 3.0) and np.all(aux < 3.0 + 1.0 / math.sqrt(2) + 1e-12)
+
+    def test_main_particles_are_the_first_subgrid_centres(self):
+        # cube i's N_i main particles are the first N_i centres, in C order, of
+        # the grid of segments^d cells that tiles it
+        rng = np.random.default_rng(43)
+        for d, n_particles in ((1, 300), (2, 300), (2, 7000), (3, 5000)):
+            n = rec._cube_count(n_particles, d)
+            rho = random_density(rng, d, 1.5, 2 * n)
+            r = rec.build_recovery(rho, n_particles)
+            side = 2 * r.L / n
+            start = 0
+            for cube, count in zip(itertools.product(range(n), repeat=d), r.counts):
+                segments = rec._integer_root(count, d) + 1
+                corner = -r.L + side * np.array(cube, dtype=float)
+                nodes = itertools.islice(itertools.product(range(segments), repeat=d), count)
+                want = [corner + (np.array(idx, dtype=float) + 0.5) * (side / segments)
+                        for idx in nodes]
+                got = r.config.points[start:start + count]
+                assert got.tobytes() == np.array(want).reshape(-1, d).tobytes()
+                start += count
+            assert start == r.N_p
 
     def test_integer_root_exactness(self):
         for m, d, expect in [(16, 4, 2), (15, 4, 1), (4096, 12, 2), (1, 3, 1),
