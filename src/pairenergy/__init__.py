@@ -41,13 +41,10 @@ from .potentials import (
     InstabilityCertificate,
     Morse,
     PotentialError,
-    PotentialMetadata,
     PotentialSpec,
     PowerLaw,
     StabilityReport,
     approximate_laplacian,
-    classify_stability,
-    metadata,
     numeric_instability_scan,
     potential_from_json,
 )

@@ -143,11 +143,11 @@ def _parse_scan(obj) -> dict:
 def cmd_classify(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
                  phases: dict) -> dict:
     scan_cfg = cfg.get("scan")
-    if scan_cfg is None and math.isfinite(pot.metadata(spec).W_inf):
+    if scan_cfg is None and math.isfinite(spec.W_inf):
         scan_cfg = {}
     scan = None if scan_cfg is None else _parse_scan(scan_cfg)
     t0 = time.perf_counter()
-    report = pot.classify_stability(spec)
+    report = spec.stability()
     payload = report.to_json()
     if scan is not None:
         cert = pot.numeric_instability_scan(spec, **scan)
@@ -307,8 +307,7 @@ def main(argv=None) -> int:
         seed = integer(cfg.get("seed", 0), "seed", ConfigError, minimum=-math.inf)
         if args.seed is not None:
             seed = args.seed
-        if args.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        integer(args.workers, "workers", ConfigError)
 
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

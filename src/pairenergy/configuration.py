@@ -22,7 +22,9 @@ class ConfigurationError(ValueError):
 
 
 class Configuration:
-    """Immutable ordered list of N points in R^d (N >= 1)."""
+    """Immutable ordered list of N points in R^d (N >= 1).  A copy or an
+    unpickled value is rebuilt by the constructor, so it is checked and its
+    array stays read-only."""
 
     __slots__ = ("points",)
 
@@ -39,6 +41,9 @@ class Configuration:
 
     def __setattr__(self, *_):
         raise AttributeError("Configuration is immutable")
+
+    def __reduce__(self):
+        return Configuration, (self.points,)
 
     @property
     def n(self) -> int:

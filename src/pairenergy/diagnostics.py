@@ -19,7 +19,7 @@ from .checks import real
 from .configuration import (Configuration, ConfigurationError, _blocks, ball_mass,
                             diameter, min_pair_distance, per_particle_potentials)
 from .pairs import blocks
-from .potentials import PotentialSpec, _ball_deviation, metadata
+from .potentials import PotentialSpec, _ball_deviation
 
 
 @dataclass(frozen=True)
@@ -158,8 +158,7 @@ class DiameterCheck:
 
 def diameter_bound_check(spec: PotentialSpec, X: Configuration) -> DiameterCheck:
     """Compare diam(X) against the minimiser bound K_N = 2 sqrt(d) (N-1) R_W."""
-    r_w = metadata(spec).R_W
-    k_n = 2.0 * math.sqrt(X.dim) * (X.n - 1) * r_w
+    k_n = 2.0 * math.sqrt(X.dim) * (X.n - 1) * spec.R_W
     diam = diameter(X)
     return DiameterCheck(diam=diam, K_N=k_n, holds=bool(diam <= k_n + 1e-9))
 
@@ -193,8 +192,7 @@ class DiagnosticsReport:
 def default_morrey_exponent(spec: PotentialSpec) -> float:
     """beta for beta-repulsive potentials (the ball-mass growth exponent
     their minimisers obey), else the ambient dimension."""
-    md = metadata(spec)
-    return md.beta if md.beta is not None else float(spec.dimension)
+    return spec.beta if spec.beta is not None else float(spec.dimension)
 
 
 def build_report(spec: PotentialSpec, X: Configuration, *,
@@ -230,7 +228,7 @@ def build_report(spec: PotentialSpec, X: Configuration, *,
     else:
         notes.append("coincident points: stationarity skipped")
 
-    r_w = metadata(spec).R_W
+    r_w = spec.R_W
     r_mass = lower_mass_radius if lower_mass_radius is not None \
         else (r_w if math.isfinite(r_w) and r_w > 0 else 1.0)
     return DiagnosticsReport(

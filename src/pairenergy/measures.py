@@ -55,7 +55,8 @@ class TransportQuantisationWarning(UserWarning):
 # --------------------------------------------------------------------------
 
 class AtomicMeasure:
-    """Finite list of (point, weight) atoms; weights nonnegative, sum 1."""
+    """Finite list of (point, weight) atoms; weights nonnegative, sum 1.
+    A copy or an unpickled value is rebuilt by the constructor."""
 
     __slots__ = ("points", "weights")
 
@@ -80,6 +81,9 @@ class AtomicMeasure:
     def __setattr__(self, *_):
         raise AttributeError("AtomicMeasure is immutable")
 
+    def __reduce__(self):
+        return AtomicMeasure, (self.points, self.weights)
+
     @property
     def dim(self) -> int:
         return self.points.shape[1]
@@ -100,7 +104,8 @@ class GridDensity:
     `lo` and `hi` are copied, each a vector of d >= 1 finite numbers;
     `resolution` cells per side, an integer >= 1; `masses` holds the per-cell
     masses flattened in C order (axis 0 slowest), summing to 1.  Invalid
-    arguments raise MeasureError.
+    arguments raise MeasureError.  A copy or an unpickled value is rebuilt by
+    the constructor, so it is checked and its arrays stay read-only.
     """
 
     __slots__ = ("lo", "hi", "resolution", "masses")
@@ -130,6 +135,9 @@ class GridDensity:
 
     def __setattr__(self, *_):
         raise AttributeError("GridDensity is immutable")
+
+    def __reduce__(self):
+        return GridDensity, (self.lo, self.hi, self.resolution, self.masses)
 
     @property
     def dim(self) -> int:
@@ -190,6 +198,13 @@ def cell_centres(lo, width, g: int) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
+def _check_grid_size(g: int, d: int):
+    """Refuse with MeasureError a grid of g^d cells above _MAX_GRID_VECTORS."""
+    if g ** d > _MAX_GRID_VECTORS:
+        raise MeasureError(f"a grid of {g}^{d} cells is above the cap of "
+                           f"{_MAX_GRID_VECTORS} cells")
+
+
 def uniform_box(d: int, L: float, resolution: int) -> GridDensity:
     """Uniform probability on [-L, L)^d; d and resolution must be integers >= 1,
     L positive finite and the grid at most _MAX_GRID_VECTORS cells, else
@@ -197,9 +212,7 @@ def uniform_box(d: int, L: float, resolution: int) -> GridDensity:
     d = integer(d, "d", MeasureError)
     L = real(L, "L", MeasureError, above=0.0)
     g = integer(resolution, "resolution", MeasureError)
-    if g ** d > _MAX_GRID_VECTORS:
-        raise MeasureError(f"a grid of {g}^{d} cells is above the cap of "
-                           f"{_MAX_GRID_VECTORS} cells")
+    _check_grid_size(g, d)
     m = np.full(g ** d, 1.0 / g ** d)
     return GridDensity([-L] * d, [L] * d, g, m)
 
@@ -227,13 +240,15 @@ def density_to_atoms(rho: GridDensity) -> AtomicMeasure:
 def regrid(rho: GridDensity, multiple_of: int) -> GridDensity:
     """Re-express rho at the smallest per-side resolution that is a multiple
     of `multiple_of`, an integer >= 1 (else MeasureError), by conservative
-    exact-interval-overlap reassignment."""
+    exact-interval-overlap reassignment.  A new grid above _MAX_GRID_VECTORS
+    cells raises MeasureError, as in uniform_box."""
     mult = integer(multiple_of, "multiple_of", MeasureError)
     g = rho.resolution
     g2 = ((g + mult - 1) // mult) * mult
     if g2 == g:
         return rho
     d = rho.dim
+    _check_grid_size(g2, d)
     # per-axis overlap fractions: frac[K, k] = |old cell k ∩ new cell K| / |old cell k|
     edges_old = np.arange(g + 1) / g
     edges_new = np.arange(g2 + 1) / g2

@@ -24,7 +24,7 @@ from . import pairs
 from .checks import integer, real
 from .configuration import (Configuration, ConfigurationError, _blocks,
                             min_pair_distance)
-from .potentials import PotentialSpec, metadata
+from .potentials import PotentialSpec
 
 _ARMIJO_C = 1e-4
 _SHRINK = 0.5
@@ -64,7 +64,7 @@ class OptimOpts:
         """These options with `init_radius` and `hop_sigma` filled in."""
         init = self.init_radius
         if init is None:
-            r_w = metadata(spec).R_W
+            r_w = spec.R_W
             init = 2.0 * max(1.0, r_w if math.isfinite(r_w) else 1.0)
         sigma = self.hop_sigma if self.hop_sigma is not None else 0.1 * init
         return replace(self, init_radius=init, hop_sigma=sigma)
@@ -199,9 +199,11 @@ def minimize_multistart(spec: PotentialSpec, N: int, opts: OptimOpts,
     """Multistart + basin-hopping search for an approximate global minimiser.
 
     The result is labelled approximate: no certificate of global optimality
-    is implied.  An N that is not an integer >= 2 raises ConfigurationError.
+    is implied.  An N that is not an integer >= 2, or a `workers` count that
+    is not an integer >= 1, raises ConfigurationError.
     """
     N = integer(N, "N", ConfigurationError, minimum=2)
+    workers = integer(workers, "workers", ConfigurationError)
     opts = opts.resolved(spec)
     seed = int(opts.seed) & 0xFFFFFFFFFFFFFFFF
 

@@ -1,11 +1,16 @@
-"""Pair potentials: power-law and Morse families, derived constants,
-approximate Laplacians (ball averages by a Gauss rule in the radius and the
-axial cosine) and stability classification.
+"""Pair potentials: power-law and Morse families, approximate Laplacians
+(ball averages by a Gauss rule in the radius and the axial cosine) and
+numeric instability certificates.
 
 A potential is a radially symmetric function W on R^d, attractive at long
 range and repulsive at short range.  Everything downstream (energies,
 diagnostics, recovery constructions) only needs the radial profile, its
-derivative, and a handful of derived constants (W_min, W_inf, R_W, beta).
+derivative, and what each family carries: W_min (the minimum of W, or its
+infimum where none is attained), W_inf (its limit at infinity), R_W (a radius
+beyond which W is radially strictly increasing, +inf when there is none; it
+sets the minimiser diameter bound K_N = 2 sqrt(d) (N-1) R_W), beta (the
+Morrey exponent of a beta-repulsive potential, else None) and `stability()`,
+the closed-form stability class, whose threshold is W_inf/2.
 """
 
 from __future__ import annotations
@@ -25,8 +30,23 @@ class PotentialError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# Potential families
+# Potential families and their stability classes
 # --------------------------------------------------------------------------
+
+UNSTABLE = "unstable"
+STRICTLY_STABLE = "strictly_stable"
+UNKNOWN = "unknown"
+
+
+@dataclass(frozen=True)
+class StabilityReport:
+    classification: str
+    margin: float | None
+    note: str
+
+    def to_json(self) -> dict:
+        return {"class": self.classification, "margin": self.margin, "note": self.note}
+
 
 @dataclass(frozen=True)
 class PowerLaw:
@@ -34,12 +54,17 @@ class PowerLaw:
 
     Requires an integer dimension d >= 1 and finite a > b, with b > 0 in d = 1, 2
     and 2-d < b < a, b != 0, in d >= 3, else PotentialError; a and b are
-    stored as floats.  Singular at the origin iff b < 0.
+    stored as floats.  Singular at the origin iff b < 0, and then beta = 2 - b.
+    W_min = 1/a - 1/b at R_W = 1 is positive when b < 0 (2.5 for a = 2,
+    b = -0.5) and negative otherwise; W_inf = +inf.
     """
 
     dimension: int
     a: float
     b: float
+
+    W_inf = math.inf
+    R_W = 1.0
 
     def __post_init__(self):
         d = integer(self.dimension, "dimension", PotentialError)
@@ -64,6 +89,18 @@ class PowerLaw:
     def singular_at_origin(self) -> bool:
         return self.b < 0
 
+    @property
+    def W_min(self) -> float:
+        return 1.0 / self.a - 1.0 / self.b
+
+    @property
+    def beta(self) -> float | None:
+        return 2.0 - self.b if self.b < 0 else None
+
+    def stability(self) -> StabilityReport:
+        """Always unstable: any finite energy lies below W_inf/2 = +inf."""
+        return StabilityReport(UNSTABLE, None, "power-law potentials are unstable")
+
     def radial(self, r):
         """W as a function of radius; r may be a scalar or array, r >= 0."""
         r = np.asarray(r, dtype=float)
@@ -82,7 +119,9 @@ class PowerLaw:
 @dataclass(frozen=True)
 class Morse:
     """W(x) = C_r exp(-|x|/l_r) - C_a exp(-|x|/l_a) in an integer dimension
-    >= 1, with positive finite constants (else PotentialError) stored as floats."""
+    >= 1, with positive finite constants (else PotentialError) stored as floats.
+    W_inf = 0, so W_min is never above 0; R_W and W_min come in closed form
+    from the single sign change of W'."""
 
     dimension: int
     C_r: float
@@ -90,13 +129,54 @@ class Morse:
     C_a: float
     l_a: float
 
+    W_inf = 0.0
+    beta = None
+    singular_at_origin = False
+
     def __post_init__(self):
         integer(self.dimension, "dimension", PotentialError)
         for name in ("C_r", "l_r", "C_a", "l_a"):
             v = real(getattr(self, name), name, PotentialError, above=0.0)
             object.__setattr__(self, name, v)
 
-    singular_at_origin = False
+    @property
+    def R_W(self) -> float:
+        # e^{r/l_a} W'(r) = C_a/l_a - (C_r/l_r) e^{-r (1/l_r - 1/l_a)} is monotone
+        # in r, so W' changes sign at most once, at
+        # r* = ln(C_r l_a / (C_a l_r)) / (1/l_r - 1/l_a) when l_r < l_a.
+        c_r, l_r, c_a, l_a = self.C_r, self.l_r, self.C_a, self.l_a
+        if l_r < l_a:
+            # W' < 0 below r* and > 0 above it: the minimum is at R_W.  The log
+            # and the rate 1/l_r - 1/l_a are formed from the differences
+            # C_r - C_a and l_a - l_r, which keeps R_W accurate when l_a is
+            # within a few ulps of l_r.
+            log_ratio = math.log1p((c_r - c_a) / c_a) + math.log1p((l_a - l_r) / l_r)
+            return max(0.0, log_ratio / ((l_a - l_r) / (l_r * l_a)))
+        # l_r > l_a: W' is eventually negative.  l_r = l_a: W = (C_r - C_a) e^{-r/l}
+        # decreases when C_r > C_a, else increases (or is 0) from r = 0 on.
+        return math.inf if l_r > l_a or c_r > c_a else 0.0
+
+    @property
+    def W_min(self) -> float:
+        # W(R_W) when l_r < l_a, else W(0) or the limit 0 at infinity
+        w_min = float(self.radial(self.R_W)) if self.l_r < self.l_a else self.C_r - self.C_a
+        return min(w_min, 0.0)
+
+    def stability(self) -> StabilityReport:
+        """Unstable iff C_r/C_a < (l_a/l_r)^d when l_r < l_a, strictly stable
+        in the complementary open regime; equality and l_r >= l_a are
+        unknown."""
+        ratio = self.C_r / self.C_a
+        threshold = (self.l_a / self.l_r) ** self.dimension
+        if self.l_r >= self.l_a:
+            return StabilityReport(UNKNOWN, None, "l_r >= l_a regime is not classified")
+        if ratio < threshold:
+            return StabilityReport(UNSTABLE, threshold - ratio,
+                                   f"C_r/C_a = {ratio:g} < (l_a/l_r)^d = {threshold:g}")
+        if ratio > threshold:
+            return StabilityReport(STRICTLY_STABLE, ratio - threshold,
+                                   f"C_r/C_a = {ratio:g} > (l_a/l_r)^d = {threshold:g}")
+        return StabilityReport(UNKNOWN, 0.0, "boundary case C_r/C_a = (l_a/l_r)^d")
 
     def radial(self, r):
         r = np.asarray(r, dtype=float)
@@ -126,69 +206,6 @@ def potential_from_json(obj: dict) -> PotentialSpec:
     cls, names = _JSON_KINDS[kind]
     json_object(obj, f"{kind} potential", PotentialError, required=("kind", "d", *names))
     return cls(obj["d"], *(obj[name] for name in names))
-
-
-# --------------------------------------------------------------------------
-# Derived metadata
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PotentialMetadata:
-    """Derived constants of a potential.
-
-    W_min        global lower bound: the minimum of W where it is attained,
-                 else its infimum, never above 0
-    W_inf        limit at infinity (may be +inf)
-    R_W          radius beyond which W is radially strictly increasing
-                 (+inf when no such radius exists)
-    beta         repulsivity exponent (power-law with b < 0 only), else None
-
-    Whether W is singular at the origin is the spec's `singular_at_origin`.
-    """
-
-    W_min: float
-    W_inf: float
-    R_W: float
-    beta: float | None
-
-
-def _morse_metadata(spec: Morse) -> PotentialMetadata:
-    # e^{r/l_a} W'(r) = C_a/l_a - (C_r/l_r) e^{-r (1/l_r - 1/l_a)} is monotone
-    # in r, so W' changes sign at most once, at
-    # r* = ln(C_r l_a / (C_a l_r)) / (1/l_r - 1/l_a) when l_r < l_a.
-    c_r, l_r = float(spec.C_r), float(spec.l_r)
-    c_a, l_a = float(spec.C_a), float(spec.l_a)
-    if l_r < l_a:
-        # W' < 0 below r* and > 0 above it: the minimum is at R_W.  The log
-        # and the rate 1/l_r - 1/l_a are formed from the differences
-        # C_r - C_a and l_a - l_r, which keeps R_W accurate when l_a is
-        # within a few ulps of l_r.
-        log_ratio = math.log1p((c_r - c_a) / c_a) + math.log1p((l_a - l_r) / l_r)
-        r_w = max(0.0, log_ratio / ((l_a - l_r) / (l_r * l_a)))
-        w_min = float(spec.radial(r_w))
-    else:
-        # W' is eventually negative (l_r > l_a), or W = (C_r - C_a) e^{-r/l};
-        # either way the infimum is W(0) or the limit 0 at infinity
-        r_w = math.inf if l_r > l_a or c_r > c_a else 0.0
-        w_min = c_r - c_a
-    w_min = min(w_min, 0.0)  # W -> 0 at infinity; the infimum is never above it
-    return PotentialMetadata(W_min=w_min, W_inf=0.0, R_W=r_w, beta=None)
-
-
-def _power_law_metadata(spec: PowerLaw) -> PotentialMetadata:
-    w_min = 1.0 / spec.a - 1.0 / spec.b  # attained at |x| = 1
-    beta = 2.0 - spec.b if spec.b < 0 else None
-    return PotentialMetadata(W_min=w_min, W_inf=math.inf, R_W=1.0, beta=beta)
-
-
-@lru_cache(maxsize=256)
-def metadata(spec: PotentialSpec) -> PotentialMetadata:
-    """Derived constants (cached; potentials are frozen values)."""
-    if isinstance(spec, PowerLaw):
-        return _power_law_metadata(spec)
-    if isinstance(spec, Morse):
-        return _morse_metadata(spec)
-    raise PotentialError(f"unknown potential type {type(spec)!r}")
 
 
 # --------------------------------------------------------------------------
@@ -316,45 +333,8 @@ def approximate_laplacian(spec: PotentialSpec, x, eps: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Stability classification
+# Numeric instability certificates
 # --------------------------------------------------------------------------
-
-UNSTABLE = "unstable"
-STRICTLY_STABLE = "strictly_stable"
-UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    classification: str
-    margin: float | None
-    note: str
-
-    def to_json(self) -> dict:
-        return {"class": self.classification, "margin": self.margin, "note": self.note}
-
-
-def classify_stability(spec: PotentialSpec) -> StabilityReport:
-    """Closed-form stability classification.
-
-    Power-law potentials are always unstable.  Morse potentials with
-    l_r < l_a are unstable iff C_r/C_a < (l_a/l_r)^d and strictly stable in
-    the complementary open regime; equality and l_r >= l_a are Unknown.
-    """
-    if isinstance(spec, PowerLaw):
-        return StabilityReport(UNSTABLE, None, "power-law potentials are unstable")
-    ratio = spec.C_r / spec.C_a
-    threshold = (spec.l_a / spec.l_r) ** spec.dimension
-    if spec.l_r >= spec.l_a:
-        return StabilityReport(UNKNOWN, None, "l_r >= l_a regime is not classified")
-    if ratio < threshold:
-        return StabilityReport(UNSTABLE, threshold - ratio,
-                               f"C_r/C_a = {ratio:g} < (l_a/l_r)^d = {threshold:g}")
-    if ratio > threshold:
-        return StabilityReport(STRICTLY_STABLE, ratio - threshold,
-                               f"C_r/C_a = {ratio:g} > (l_a/l_r)^d = {threshold:g}")
-    return StabilityReport(UNKNOWN, 0.0, "boundary case C_r/C_a = (l_a/l_r)^d")
-
 
 @dataclass(frozen=True)
 class InstabilityCertificate:
@@ -391,7 +371,6 @@ def numeric_instability_scan(spec: PotentialSpec, scales,
     if resolution is None:
         resolution = {1: 256, 2: 40, 3: 16}.get(d, 8)
     resolution = integer(resolution, "resolution", PotentialError, minimum=4)
-    md = metadata(spec)
 
     energies = []
     for t in scales:
@@ -400,7 +379,7 @@ def numeric_instability_scan(spec: PotentialSpec, scales,
     best_idx = int(np.argmin(energies))
     best_scale, best_energy = scales[best_idx], energies[best_idx]
 
-    if math.isinf(md.W_inf):
+    if math.isinf(spec.W_inf):
         # any finite energy beats +inf/2
         found = math.isfinite(best_energy)
         return InstabilityCertificate(found, best_scale, best_energy,
@@ -409,6 +388,6 @@ def numeric_instability_scan(spec: PotentialSpec, scales,
     rho = measures.uniform_ball(d, best_scale, max(4, resolution // 2))
     coarse = measures.continuum_energy_grid(spec, rho)
     margin = tolerance + abs(best_energy - coarse)
-    threshold = 0.5 * md.W_inf - margin
+    threshold = 0.5 * spec.W_inf - margin
     return InstabilityCertificate(best_energy < threshold, best_scale, best_energy,
                                   threshold, margin, tuple(energies))

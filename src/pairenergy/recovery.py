@@ -151,11 +151,14 @@ def recovery_convergence_report(spec: PotentialSpec, rho: GridDensity,
     For each N, rho is first regridded (measures.regrid) to the smallest
     resolution that is a multiple of n = floor(N^(1/(4d))), which is its own
     when that already is one; E(rho) and the atoms of rho are taken on that
-    grid.  N_list entries that are not distinct integers >= 2 raise
-    RecoveryError, and in d >= 2 an N whose W1 against the nonempty cells of
-    its grid is above the cost-matrix cap (measures.check_transport_size)
-    raises MeasureError, before any N is built.
+    grid.  An N_list that is not a nonempty list or tuple of distinct
+    integers >= 2 raises RecoveryError, and in d >= 2 an N whose W1 against
+    the nonempty cells of its grid is above the cost-matrix cap
+    (measures.check_transport_size) raises MeasureError, before any N is
+    built.
     """
+    if not isinstance(N_list, (list, tuple)) or not N_list:
+        raise RecoveryError("N_list must be a nonempty list")
     ns = [integer(N, "N_list entry", RecoveryError, minimum=2) for N in N_list]
     if len(set(ns)) != len(ns):
         raise RecoveryError("N_list entries must be distinct")

@@ -90,7 +90,7 @@ def test_criterion_03_diameter_bound(solve):
     t0 = time.perf_counter()
     checked = 0
     for spec in (PL2, MORSE_U, MORSE_S):
-        r_w = pot.metadata(spec).R_W
+        r_w = spec.R_W
         for n in (10, 50, 100):
             res = best(solve, spec, n)
             diam = cfg.diameter(res.best)
@@ -122,13 +122,12 @@ def test_criterion_04_diameter_dichotomy(solve):
 
 def test_criterion_05_euler_lagrange_bounded(solve):
     t0 = time.perf_counter()
-    md = pot.metadata(MORSE_U)
     w0 = float(MORSE_U.radial(0.0))
     for n in (20, 40, 80):
         tol = EFFORT[(MORSE_U, n)][0]
         res = best(solve, MORSE_U, n)
         _, spread = diag.euler_lagrange_spread(MORSE_U, res.best)
-        bound = (w0 - md.W_min) / n + 10 * tol
+        bound = (w0 - MORSE_U.W_min) / n + 10 * tol
         assert spread <= bound, (n, spread, bound)
 
     samples = []

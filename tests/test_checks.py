@@ -115,6 +115,8 @@ class TestChecks:
     (lambda: mea.continuum_energy_grid(PL11, RHO, refine_levels="x"), mea.MeasureError),
     (lambda: rec.recovery_convergence_report(PL11, RHO, [16, 16]), rec.RecoveryError),
     (lambda: rec.recovery_convergence_report(PL11, RHO, [16.7]), rec.RecoveryError),
+    (lambda: rec.recovery_convergence_report(PL11, RHO, 5), rec.RecoveryError),
+    (lambda: rec.recovery_convergence_report(PL11, RHO, []), rec.RecoveryError),
     (lambda: mea.regrid(mea.uniform_box(1, 1, 5), 2.5), mea.MeasureError),
     (lambda: mea.uniform_ball(1, 1.0, 4.9), mea.MeasureError),
     (lambda: mea.GridDensity([0.0], [1.0], 1.9, [1.0]), mea.MeasureError),
@@ -124,6 +126,10 @@ class TestChecks:
     (lambda: pot.approximate_laplacian(MORSE_U, [1.0, 0.0], NAN), pot.PotentialError),
     (lambda: diag.stationarity_check(MORSE_U, X, NAN), cfg.ConfigurationError),
     (lambda: opt.minimize_multistart(MORSE_U, 2.5, ONE_STEP), cfg.ConfigurationError),
+    (lambda: opt.minimize_multistart(MORSE_U, 2, ONE_STEP, workers=0),
+     cfg.ConfigurationError),
+    (lambda: opt.minimize_multistart(MORSE_U, 2, ONE_STEP, workers="2"),
+     cfg.ConfigurationError),
     (lambda: diag.fit_power_decay([(2, -1.0), (3, 1.0)]), cfg.ConfigurationError),
     (lambda: diag.fit_power_decay([(2, 1.0), (2, 0.5)]), cfg.ConfigurationError),
     (lambda: rec._integer_root(-1, 2), rec.RecoveryError),
@@ -142,10 +148,12 @@ class TestChecks:
         "ball_mass_nan_radius", "report_nan_lower_mass_radius", "morrey_nan_exponent",
         "uniform_box_d0", "uniform_box_infinite_L", "uniform_box_float_resolution",
         "string_refine_levels", "repeated_recovery_N", "float_recovery_N",
+        "scalar_recovery_N_list", "empty_recovery_N_list",
         "regrid_float_multiple", "uniform_ball_float_resolution",
         "grid_density_float_resolution", "build_recovery_float_N", "aux_bound_float_N",
         "ball_mass_float_index", "laplacian_nan_eps", "stationarity_nan_eps",
-        "multistart_float_N", "fit_negative_value", "fit_one_distinct_N",
+        "multistart_float_N", "multistart_zero_workers", "multistart_string_workers",
+        "fit_negative_value", "fit_one_distinct_N",
         "integer_root_negative", "configuration_string_coordinate",
         "atomic_string_coordinate", "from_json_bool_coordinate",
         "from_json_string_coordinate", "grid_density_infinite_hi",

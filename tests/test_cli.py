@@ -235,6 +235,13 @@ class TestFlags:
         record = json.loads((tmp_path / "out" / "run_record.json").read_text())
         assert record["seed"] == 99
 
+    def test_zero_workers_is_one_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "m.json", {"potential": PL21_JSON, "N": 2,
+                                                 "optim": CHEAP_OPTIM})
+        assert run("minimize", cfg, tmp_path / "out", "--workers", "0") == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: workers must be an integer >= 1\n"
+        assert not (tmp_path / "out" / "run_record.json").exists()
+
 
 RECOVER_1D = {"potential": {"kind": "power_law", "d": 1, "a": 2.0, "b": 1.0},
               "N_list": [16],

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ from hypothesis import strategies as st
 
 from pairenergy import configuration as cfg
 from pairenergy import measures as mea
+from pairenergy import optimizer as opt
 from pairenergy import potentials as pot
 
 PL11 = pot.PowerLaw(1, 2.0, 1.0)
+PL21 = pot.PowerLaw(2, 2.0, 1.0)
 MORSE1 = pot.Morse(1, 1.0, 0.5, 1.0, 1.0)
 MORSE2 = pot.Morse(2, 1.0, 0.5, 1.0, 1.0)
 SINGULAR3 = pot.PowerLaw(3, 2.0, -0.5)
@@ -91,19 +95,44 @@ class TestCarriers:
         monkeypatch.chdir(tmp_path / "elsewhere")
         assert np.array_equal(mea.GridDensity.load("../sub/g.json").masses, rho.masses)
 
-    @pytest.mark.parametrize("header, masses", [
-        ("lo = -1", "1\n"),
-        ('{"lo": [-1], "hi": [1], "resolution": 1}', "1\n"),
-        ('["g.json.masses.csv"]', "1\n"),
-        ('{"lo": [-1], "hi": [1], "resolution": "x", "mass_csv": "m.csv"}', "1\n"),
-        ('{"lo": [-1], "hi": [1], "resolution": 2, "mass_csv": "m.csv"}', "a\nb\n"),
+    @pytest.mark.parametrize("header, masses, message", [
+        ("lo = -1", "1\n", "not a UTF-8 JSON file"),
+        ('{"lo": [-1], "hi": [1], "resolution": 1}', "1\n", "missing key 'd'"),
+        ('["g.json.masses.csv"]', "1\n", "must be a JSON object"),
+        ('{"d": 1, "lo": [-1], "hi": [1], "resolution": "x", "mass_csv": "m.csv"}', "1\n",
+         "resolution must be an integer"),
+        ('{"d": 1, "lo": [-1], "hi": [1], "resolution": 2, "mass_csv": "m.csv"}', "a\nb\n",
+         "m.csv must hold one number per line"),
     ], ids=["not_json", "missing_key", "not_an_object", "string_resolution",
             "masses_not_numbers"])
-    def test_grid_load_malformed_is_measure_error(self, tmp_path, header, masses):
+    def test_grid_load_malformed_is_measure_error(self, tmp_path, header, masses, message):
         (tmp_path / "g.json").write_text(header)
         (tmp_path / "m.csv").write_text(masses)
-        with pytest.raises(mea.MeasureError):
+        with pytest.raises(mea.MeasureError, match=f"^grid density .*g.json: .*{message}"):
             mea.GridDensity.load(tmp_path / "g.json")
+
+    @pytest.mark.parametrize("copier", [
+        copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize("make, arrays", [
+        (lambda: cfg.Configuration([[0.0, 1.0], [2.0, 3.5]]), lambda x: [x.points]),
+        (lambda: mea.AtomicMeasure([[0.0], [1.0]], [0.25, 0.75]),
+         lambda mu: [mu.points, mu.weights]),
+        (lambda: mea.uniform_ball(2, 1.0, 6), lambda rho: [rho.lo, rho.hi, rho.masses]),
+        (lambda: opt.minimize_multistart(PL21, 3, opt.OptimOpts(n_starts=2, hop_count=1)),
+         lambda res: [res.best.points]),
+    ], ids=["configuration", "atomic_measure", "grid_density", "multistart_result"])
+    def test_copies_and_pickles_are_rebuilt_read_only(self, make, arrays, copier):
+        value = make()
+        back = copier(value)
+        assert type(back) is type(value)
+        for a, b in zip(arrays(value), arrays(back), strict=True):
+            assert a.tobytes() == b.tobytes() and not b.flags.writeable
+        if isinstance(value, opt.OptimResult):
+            assert back.to_json() == value.to_json()
+            assert back.energy_trace == value.energy_trace
+        if isinstance(value, mea.GridDensity):
+            assert back.resolution == value.resolution
 
 
 class TestContinuumEnergyAtoms:
@@ -543,6 +572,15 @@ class TestConversions:
             out = mea.regrid(rho, mult)
             assert out.resolution == g2
             assert out.masses.tobytes() == want.tobytes()
+
+    def test_regrid_refuses_a_grid_above_the_cap(self):
+        # 2100^2 cells, refused as uniform_box refuses the same grid
+        with pytest.raises(mea.MeasureError) as box:
+            mea.uniform_box(2, 1.0, 2100)
+        with pytest.raises(mea.MeasureError) as regridded:
+            mea.regrid(mea.uniform_box(2, 1.0, 4), 2100)
+        assert str(regridded.value) == str(box.value) \
+            == "a grid of 2100^2 cells is above the cap of 4000000 cells"
 
     def test_regrid_preserves_cdf(self):
         rng = np.random.default_rng(25)

@@ -77,15 +77,14 @@ class TestEval:
     def test_lower_bound(self):
         rng = np.random.default_rng(1)
         for spec in (PL21, MORSE_U, MORSE_S, PL3_SING):
-            md = pot.metadata(spec)
             r = rng.uniform(1e-3, 10.0, size=10_000)
             vals = np.asarray(spec.radial(r))
-            assert np.all(vals >= md.W_min - 1e-12)
+            assert np.all(vals >= spec.W_min - 1e-12)
 
     def test_monotone_beyond_r_w(self):
         rng = np.random.default_rng(2)
         for spec in (PL21, MORSE_U, MORSE_S):
-            r_w = pot.metadata(spec).R_W
+            r_w = spec.R_W
             lo = max(r_w, 1e-6)
             r1 = rng.uniform(lo, 10 * lo, size=200)
             r2 = r1 + rng.uniform(1e-3, 2.0, size=200)
@@ -119,48 +118,45 @@ class TestRadialDerivative:
             assert np.all(np.abs(w1 - fd) <= 1e-5 * np.maximum(np.abs(fd), 1e-8))
 
 
-class TestMetadata:
+class TestDerivedConstants:
     def test_power_law(self):
-        md = pot.metadata(PL21)
-        assert md.W_min == pytest.approx(1 / 2.0 - 1 / 1.0)
-        assert md.W_inf == math.inf
-        assert md.R_W == 1.0
-        assert md.beta is None and not PL21.singular_at_origin
+        assert PL21.W_min == pytest.approx(1 / 2.0 - 1 / 1.0)
+        assert PL21.W_inf == math.inf
+        assert PL21.R_W == 1.0
+        assert PL21.beta is None and not PL21.singular_at_origin
 
     def test_power_law_singular(self):
-        md = pot.metadata(PL3_SING)
         assert PL3_SING.singular_at_origin
-        assert md.beta == pytest.approx(2.5)
+        assert PL3_SING.beta == pytest.approx(2.5)
+        # the minimum W(1) = 1/a - 1/b of a singular power law is positive
+        assert PL3_SING.W_min == 2.5 == float(PL3_SING.radial(1.0))
 
     def test_morse_unstable(self):
-        md = pot.metadata(MORSE_U)
         # W' = e^{-r}(e^{-r} * -2 + 1): zero at r = ln 2
-        assert md.R_W == pytest.approx(math.log(2), rel=1e-15)
-        assert md.W_min == pytest.approx(-0.25, abs=1e-12)
-        assert md.W_inf == 0.0
+        assert MORSE_U.R_W == pytest.approx(math.log(2), rel=1e-15)
+        assert MORSE_U.W_min == pytest.approx(-0.25, abs=1e-12)
+        assert MORSE_U.W_inf == 0.0 and MORSE_U.beta is None
 
     def test_morse_stable(self):
-        md = pot.metadata(MORSE_S)
-        assert md.R_W == pytest.approx(math.log(10), rel=1e-15)
-        assert md.W_min == pytest.approx(-0.05, abs=1e-12)
+        assert MORSE_S.R_W == pytest.approx(math.log(10), rel=1e-15)
+        assert MORSE_S.W_min == pytest.approx(-0.05, abs=1e-12)
 
     def test_morse_monotone_from_origin(self):
         # C_a/l_a > C_r/l_r: increasing from r = 0
-        md = pot.metadata(pot.Morse(2, 1.0, 1.0, 4.0, 2.0))
-        assert md.R_W == 0.0
-        assert md.W_min == pytest.approx(1.0 - 4.0)
+        spec = pot.Morse(2, 1.0, 1.0, 4.0, 2.0)
+        assert spec.R_W == 0.0
+        assert spec.W_min == pytest.approx(1.0 - 4.0)
 
     def test_morse_long_range_repulsion_has_no_r_w(self):
         # l_r > l_a: W decreases to 0 from above at infinity
-        md = pot.metadata(pot.Morse(2, 1.0, 2.0, 1.0, 1.0))
-        assert md.R_W == math.inf
+        assert pot.Morse(2, 1.0, 2.0, 1.0, 1.0).R_W == math.inf
 
     def test_morse_close_lengths(self):
         # l_a = 1.01 l_r puts the turning point at
         # ln(2.02) / (1 - 1/1.01) = 71.0128..., 70 times the length scales
-        md = pot.metadata(pot.Morse(2, 2.0, 1.0, 1.0, 1.01))
-        assert md.R_W == pytest.approx(71.01284865272439, rel=1e-12)
-        assert md.W_min < 0.0
+        spec = pot.Morse(2, 2.0, 1.0, 1.0, 1.01)
+        assert spec.R_W == pytest.approx(71.01284865272439, rel=1e-12)
+        assert spec.W_min < 0.0
 
     @settings(max_examples=300, deadline=None)
     @given(c_r=st.floats(0.1, 10.0), c_a=st.floats(0.1, 10.0),
@@ -172,10 +168,10 @@ class TestMetadata:
         # rounding of R_W.
         l_a = l_r if l_a is None else l_a
         spec = pot.Morse(2, c_r, l_r, c_a, l_a)
-        md = pot.metadata(spec)
-        assert (md.R_W == math.inf) == (l_r > l_a or (l_r == l_a and c_r > c_a))
+        r_w = spec.R_W
+        assert (r_w == math.inf) == (l_r > l_a or (l_r == l_a and c_r > c_a))
         if l_r == l_a and c_r == c_a:  # W = 0, which keeps R_W = 0
-            assert (md.R_W, md.W_min) == (0.0, 0.0)
+            assert (r_w, spec.W_min) == (0.0, 0.0)
             return
 
         def scaled_slope_sign(r):
@@ -186,19 +182,19 @@ class TestMetadata:
             return (v > 0) - (v < 0)
 
         span = 20.0 * max(l_r, l_a)
-        if math.isinf(md.R_W):
+        if math.isinf(r_w):
             rs = np.linspace(0.0, span, 65)
         else:
-            band = 1e-9 * max(1.0, md.R_W)
-            near = np.geomspace(1e-8, 1.0, 17) * max(1.0, md.R_W)
-            below = np.concatenate([np.linspace(0.0, md.R_W, 33)[:-1], md.R_W - near])
+            band = 1e-9 * max(1.0, r_w)
+            near = np.geomspace(1e-8, 1.0, 17) * max(1.0, r_w)
+            below = np.concatenate([np.linspace(0.0, r_w, 33)[:-1], r_w - near])
             below = below[below >= 0.0]
-            above = md.R_W + np.concatenate([near[near <= span],
-                                             np.linspace(0.0, span, 65)[1:]])
-            assert all(scaled_slope_sign(r) < 0 for r in below if r < md.R_W - band)
-            assert all(scaled_slope_sign(r) > 0 for r in above if r > md.R_W + band)
-            rs = np.concatenate([below, [md.R_W], above])
-        assert np.all(spec.radial(rs) >= md.W_min - 1e-12)
+            above = r_w + np.concatenate([near[near <= span],
+                                          np.linspace(0.0, span, 65)[1:]])
+            assert all(scaled_slope_sign(r) < 0 for r in below if r < r_w - band)
+            assert all(scaled_slope_sign(r) > 0 for r in above if r > r_w + band)
+            rs = np.concatenate([below, [r_w], above])
+        assert np.all(spec.radial(rs) >= spec.W_min - 1e-12)
 
 
 class TestApproximateLaplacian:
@@ -380,19 +376,19 @@ class TestBallDeviationSums:
 
 class TestStability:
     def test_examples(self):
-        assert pot.classify_stability(MORSE_U).classification == pot.UNSTABLE
-        assert pot.classify_stability(MORSE_S).classification == pot.STRICTLY_STABLE
-        assert pot.classify_stability(PL21).classification == pot.UNSTABLE
+        assert MORSE_U.stability().classification == pot.UNSTABLE
+        assert MORSE_S.stability().classification == pot.STRICTLY_STABLE
+        assert PL21.stability().classification == pot.UNSTABLE
 
     def test_boundary_and_unordered_scales(self):
         boundary = pot.Morse(2, 4.0, 0.5, 1.0, 1.0)   # ratio == threshold
-        assert pot.classify_stability(boundary).classification == pot.UNKNOWN
+        assert boundary.stability().classification == pot.UNKNOWN
         swapped = pot.Morse(2, 1.0, 2.0, 1.0, 1.0)    # l_r >= l_a
-        assert pot.classify_stability(swapped).classification == pot.UNKNOWN
+        assert swapped.stability().classification == pot.UNKNOWN
 
     def test_margin_sign(self):
-        assert pot.classify_stability(MORSE_U).margin > 0
-        assert pot.classify_stability(MORSE_S).margin > 0
+        assert MORSE_U.stability().margin > 0
+        assert MORSE_S.stability().margin > 0
 
 
 class TestInstabilityScan:
@@ -418,7 +414,7 @@ class TestInstabilityScan:
     def test_negative_tolerance_gives_no_false_certificate(self):
         # a tolerance of -1 once lifted the threshold to 1.0, above every
         # energy, and certified a strictly stable potential as unstable
-        assert pot.classify_stability(MORSE_S).classification == pot.STRICTLY_STABLE
+        assert MORSE_S.stability().classification == pot.STRICTLY_STABLE
         with pytest.raises(pot.PotentialError, match="tolerance"):
             pot.numeric_instability_scan(MORSE_S, np.geomspace(0.1, 20.0, 16),
                                          tolerance=-1)
@@ -426,7 +422,7 @@ class TestInstabilityScan:
     def test_unstable_verdicts_corroborated(self):
         # classify says Unstable with finite W_inf -> the scan certifies it
         for spec in (MORSE_U, pot.Morse(2, 1.0, 0.3, 2.0, 1.0)):
-            report = pot.classify_stability(spec)
+            report = spec.stability()
             if report.classification != pot.UNSTABLE:
                 continue
             cert = pot.numeric_instability_scan(spec, np.geomspace(0.1, 20.0, 12),
