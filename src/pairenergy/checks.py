@@ -1,8 +1,8 @@
 """The checks every entry point shares: an integer at or above a minimum, a
-finite number inside an open interval, an array of numbers, a UTF-8 JSON file,
-and a JSON object with a given key set.  Each raises the caller's own error
-class, so a library call refuses what the CLI refuses, with its module's error,
-and a malformed input file is one error message, never a traceback.
+finite number inside an open interval, an array of numbers, a list of counts N,
+an array size under the cell cap, a UTF-8 JSON file and a JSON object with a
+given key set.  Each raises the caller's own error class, so a library call
+refuses what the CLI refuses, and a bad input is one message, never a traceback.
 """
 
 from __future__ import annotations
@@ -12,6 +12,11 @@ import math
 from numbers import Integral, Real
 
 import numpy as np
+
+# Cap on the cells of every array sized from user input, checked before it is
+# allocated.  With 3 refinement levels, continuum_energy_grid's deepest level
+# needs 2,996,433 vectors in d = 4; d = 5 needs 16 to 19 million at the second.
+MAX_CELLS = 4_000_000
 
 
 def integer(v, name: str, error: type[Exception], minimum: float = 1) -> int:
@@ -45,6 +50,22 @@ def reals(v, name: str, error: type[Exception]) -> np.ndarray:
     except OverflowError:   # an int beyond the float range
         pass
     raise error(f"{name} must hold numbers only, in rows of one length")
+
+
+def n_list(v, error: type[Exception]) -> list:
+    """v as ints when it is a nonempty list or tuple of distinct integers >= 2."""
+    if not isinstance(v, (list, tuple)) or not v:
+        raise error("N_list must be a nonempty list")
+    ns = [integer(n, "N_list entry", error, minimum=2) for n in v]
+    if len(set(ns)) != len(ns):
+        raise error("N_list entries must be distinct")
+    return ns
+
+
+def cells(count: int, what: str, error: type[Exception]):
+    """Refuse with `error` the array `what` when its `count` cells are above MAX_CELLS."""
+    if count > MAX_CELLS:
+        raise error(f"{what} is above the cap of {MAX_CELLS} cells")
 
 
 def json_file(path, what: str, error: type[Exception]):

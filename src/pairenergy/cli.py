@@ -34,9 +34,9 @@ from . import diagnostics as diag
 from . import measures
 from . import potentials as pot
 from . import recovery
-from .checks import integer, json_file, json_object, real
+from .checks import integer, json_file, json_object, n_list, real
 from .configuration import Configuration, ConfigurationError, diameter
-from .optimizer import OptimOpts, minimize_multistart
+from .optimizer import OptimOpts, check_trial_size, minimize_multistart
 from .svgplot import line_plot
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO = 0, 2, 3, 4
@@ -53,16 +53,6 @@ class NumericFailure(RuntimeError):
 # --------------------------------------------------------------------------
 # Config schema helpers
 # --------------------------------------------------------------------------
-
-def _n_list(v) -> list:
-    """The N entries, checked here because sweep reads them between solves."""
-    if not isinstance(v, list) or not v:
-        raise ConfigError("N_list must be a nonempty list")
-    ns = [integer(n, "N_list entry", ConfigError, minimum=2) for n in v]
-    if len(set(ns)) != len(ns):
-        raise ConfigError("N_list entries must be distinct")
-    return ns
-
 
 def _parse_optim(obj, seed: int) -> OptimOpts:
     """OptimOpts from an `optim` object; OptimOpts checks the values."""
@@ -188,25 +178,23 @@ _SWEEP_HEADER = ("N", "energy", "diameter", "morrey_seminorm", "el_pair_spread",
 
 def cmd_sweep(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
               phases: dict) -> dict:
-    n_list = _n_list(cfg["N_list"])
+    ns = n_list(cfg["N_list"], ConfigError)
     opts = _parse_optim(cfg.get("optim"), seed)
     diag_opts = _parse_diag(cfg.get("diagnostics"), keys=("morrey_exponent",))
     s = diag_opts.get("morrey_exponent", diag.default_morrey_exponent(spec))
+    check_trial_size(max(ns))   # before the first solve
 
     rows = []
     all_converged = True
     t0 = time.perf_counter()
-    for n in n_list:
+    for n in ns:
         result = minimize_multistart(spec, n, opts, workers=workers)
         all_converged &= result.converged
         mor = diag.empirical_morrey_seminorm(result.best, s)
         pair, energy_spread = diag.euler_lagrange_spread(spec, result.best)
         prefix = [(m, e) for (m, _, _, _, _, e, _) in rows] + [(n, energy_spread)]
         positive = [(m, v) for m, v in prefix if v > 0]
-        if len(positive) >= 3:
-            k_hat = diag.fit_power_decay(positive).exponent
-        else:
-            k_hat = math.nan
+        k_hat = diag.fit_power_decay(positive).exponent if len(positive) >= 3 else math.nan
         rows.append((n, result.energy, diameter(result.best), mor.value,
                      pair, energy_spread, k_hat))
     phases["sweep"] = time.perf_counter() - t0
@@ -228,11 +216,10 @@ _RECOVER_HEADER = ("N", "E_N", "E_rho", "energy_gap", "w1", "theta")
 
 def cmd_recover(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
                 phases: dict) -> dict:
-    n_list = _n_list(cfg["N_list"])
     rho = _parse_measure(cfg["measure"])
 
     t0 = time.perf_counter()
-    rows = recovery.recovery_convergence_report(spec, rho, n_list,
+    rows = recovery.recovery_convergence_report(spec, rho, cfg["N_list"],
                                                 refine_levels=cfg.get("refine_levels", 3))
     phases["recover"] = time.perf_counter() - t0
 

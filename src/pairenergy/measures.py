@@ -17,17 +17,11 @@ import os
 import numpy as np
 
 from . import pairs
-from .checks import integer, json_file, json_object, real, reals
+from .checks import cells, integer, json_file, json_object, real, reals
 from .configuration import Configuration, discrete_energy
 from .potentials import PotentialError, PotentialSpec
 
 _MASS_TOL = 1e-12
-# Cap on the cells of a built grid, on the difference vectors of one
-# refinement level of continuum_energy_grid and on the cells of a transport
-# cost matrix, checked before allocating.  With the default 3 levels the
-# deepest level needs 2,996,433 vectors in d = 4, while d = 5 needs 16 to 19
-# million at the second level already.
-_MAX_GRID_VECTORS = 4_000_000
 # Relative slack of the near-offset test of continuum_energy_grid.  A tie
 # (sum v_i^2 = d t^2 on cubic cells) must count as near whatever the last bits
 # of the cell widths are, and a translated grid can differ in those bits from
@@ -198,21 +192,14 @@ def cell_centres(lo, width, g: int) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
-def _check_grid_size(g: int, d: int):
-    """Refuse with MeasureError a grid of g^d cells above _MAX_GRID_VECTORS."""
-    if g ** d > _MAX_GRID_VECTORS:
-        raise MeasureError(f"a grid of {g}^{d} cells is above the cap of "
-                           f"{_MAX_GRID_VECTORS} cells")
-
-
 def uniform_box(d: int, L: float, resolution: int) -> GridDensity:
     """Uniform probability on [-L, L)^d; d and resolution must be integers >= 1,
-    L positive finite and the grid at most _MAX_GRID_VECTORS cells, else
+    L positive finite and the grid at most checks.MAX_CELLS cells, else
     MeasureError."""
     d = integer(d, "d", MeasureError)
     L = real(L, "L", MeasureError, above=0.0)
     g = integer(resolution, "resolution", MeasureError)
-    _check_grid_size(g, d)
+    cells(g ** d, f"a grid of {g}^{d} cells", MeasureError)
     m = np.full(g ** d, 1.0 / g ** d)
     return GridDensity([-L] * d, [L] * d, g, m)
 
@@ -240,7 +227,7 @@ def density_to_atoms(rho: GridDensity) -> AtomicMeasure:
 def regrid(rho: GridDensity, multiple_of: int) -> GridDensity:
     """Re-express rho at the smallest per-side resolution that is a multiple
     of `multiple_of`, an integer >= 1 (else MeasureError), by conservative
-    exact-interval-overlap reassignment.  A new grid above _MAX_GRID_VECTORS
+    exact-interval-overlap reassignment.  A new grid above checks.MAX_CELLS
     cells raises MeasureError, as in uniform_box."""
     mult = integer(multiple_of, "multiple_of", MeasureError)
     g = rho.resolution
@@ -248,7 +235,7 @@ def regrid(rho: GridDensity, multiple_of: int) -> GridDensity:
     if g2 == g:
         return rho
     d = rho.dim
-    _check_grid_size(g2, d)
+    cells(g2 ** d, f"a grid of {g2}^{d} cells", MeasureError)
     # per-axis overlap fractions: frac[K, k] = |old cell k ∩ new cell K| / |old cell k|
     edges_old = np.arange(g + 1) / g
     edges_new = np.arange(g2 + 1) / g2
@@ -308,8 +295,8 @@ def continuum_energy_grid(spec: PotentialSpec, rho: GridDensity,
     spans 2 diagonals of the current (sub)cell; v is near when
     sum_i v_i^2 u_i^2 <= t^2 sum_i u_i^2 (1 + _NEAR_SLACK), so ties count as
     near on every grid, whatever the last bits of the cell widths.  A grid
-    below 4 cells per side, or a refine_levels not an integer >= 1, raises
-    MeasureError.
+    below 4 cells per side, a refine_levels not an integer >= 1, or a level
+    of more than checks.MAX_CELLS difference vectors raises MeasureError.
     """
     if spec.dimension != rho.dim:
         raise PotentialError("dimension mismatch between potential and density")
@@ -339,10 +326,7 @@ def continuum_energy_grid(spec: PotentialSpec, rho: GridDensity,
         near = r2 <= t * t * u2.sum() * (1.0 + _NEAR_SLACK)
         total += float(weight[~near] @ spec.radial(np.sqrt(r2[~near])))
         count = int(near.sum()) * len(steps)
-        if count > _MAX_GRID_VECTORS:
-            raise MeasureError(
-                f"refinement level {level + 1} needs {count} difference vectors, "
-                f"above the cap of {_MAX_GRID_VECTORS}")
+        cells(count, f"refinement level {level + 1} of {count} vectors", MeasureError)
         diff = (diff[near, None, :] + steps * 2 ** (levels - level)).reshape(-1, d)
         weight = (weight[near, None] * share).reshape(-1)
     # exactly coincident sub-pairs at the deepest level: W(0), or 0 for an
@@ -549,11 +533,8 @@ def _w1_simplex(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
 
 
 def check_transport_size(n: int, m: int):
-    """Refuse with MeasureError a W1 between n and m atoms in d >= 2 whose
-    n x m cost matrix would be above _MAX_GRID_VECTORS cells."""
-    if n * m > _MAX_GRID_VECTORS:
-        raise MeasureError(f"a transport cost matrix of {min(n, m)} x {max(n, m)} "
-                           f"cells is above the cap of {_MAX_GRID_VECTORS} cells")
+    """Refuse with MeasureError an n x m W1 cost matrix above checks.MAX_CELLS."""
+    cells(n * m, f"a transport cost matrix of {min(n, m)} x {max(n, m)} cells", MeasureError)
 
 
 def wasserstein1(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
@@ -561,8 +542,8 @@ def wasserstein1(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
 
     d = 1 uses the quantile (CDF) coupling; d >= 2 solves the transport
     problem with the transportation simplex of _w1_simplex, in the memory of
-    its n x m cost matrix.  check_transport_size refuses that matrix before
-    it is allocated.
+    its n x m cost matrix.  check_transport_size refuses that matrix above
+    checks.MAX_CELLS cells before it is allocated.
     """
     if mu.dim != nu.dim:
         raise MeasureError(f"dimension mismatch: {mu.dim} vs {nu.dim}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import pairs
-from .checks import integer, real
+from .checks import cells, integer, real
 from .configuration import (Configuration, ConfigurationError, _blocks,
                             min_pair_distance)
 from .potentials import PotentialSpec
@@ -118,6 +118,11 @@ def _lbfgs_direction(grad: np.ndarray, memory, scale: float) -> np.ndarray:
     return -q.reshape(grad.shape)
 
 
+def check_trial_size(n: int):
+    """Refuse with ConfigurationError an N x N trial block above checks.MAX_CELLS."""
+    cells(n * n, f"a trial pair block of {n} x {n} cells", ConfigurationError)
+
+
 def minimize_local(spec: PotentialSpec, X0: Configuration,
                    opts: OptimOpts) -> OptimResult:
     """Descend E_N from X0; monotone by construction.
@@ -128,11 +133,13 @@ def minimize_local(spec: PotentialSpec, X0: Configuration,
     coincide, or for a singular kernel bring it closer than min_pair_dist,
     are rejected and halved.  Non-convergence is reported in
     `stop_reason`, not raised: "stalled" when no step down to the smallest
-    length is accepted, "max_iters" when the iteration budget runs out.
+    length is accepted, "max_iters" when the iteration budget runs out.  An
+    N > 2000 (an N x N trial block above checks.MAX_CELLS) raises ConfigurationError.
     """
     opts = opts.resolved(spec)
     _blocks(spec, X0, "minimisation")  # only for its checks of N and d
     n = X0.n
+    check_trial_size(n)
 
     guard = opts.min_pair_dist if spec.singular_at_origin else 0.0
     radial, derivative = spec.radial, spec.radial_derivative

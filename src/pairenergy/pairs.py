@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checks import cells
+
 _ROWS = 512
 
 
@@ -32,6 +34,11 @@ def _differences(x: np.ndarray, y: np.ndarray):
 def distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """r with r[i, j] = |x_i - y_j|."""
     return _differences(x, y)[1]
+
+
+def check_blocks(n: int, error: type[Exception]):
+    """Refuse with `error` n points whose row block is above checks.MAX_CELLS."""
+    cells(min(n, _ROWS) * n, f"a pair block of {min(n, _ROWS)} x {n} cells", error)
 
 
 def blocks(x: np.ndarray):

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import measures
-from .checks import integer
+from . import measures, pairs
+from .checks import integer, n_list
 from .configuration import Configuration, discrete_energy
 from .measures import AtomicMeasure, GridDensity, cell_centres, density_to_atoms, \
     continuum_energy_grid, wasserstein1
@@ -152,20 +152,17 @@ def recovery_convergence_report(spec: PotentialSpec, rho: GridDensity,
     resolution that is a multiple of n = floor(N^(1/(4d))), which is its own
     when that already is one; E(rho) and the atoms of rho are taken on that
     grid.  An N_list that is not a nonempty list or tuple of distinct
-    integers >= 2 raises RecoveryError, and in d >= 2 an N whose W1 against
-    the nonempty cells of its grid is above the cost-matrix cap
-    (measures.check_transport_size) raises MeasureError, before any N is
-    built.
+    integers >= 2 raises RecoveryError.  Before any N is built, each N is
+    checked against checks.MAX_CELLS: in d >= 2 the W1 cost matrix against
+    its grid's nonempty cells (measures.check_transport_size, MeasureError),
+    then its pair row block (pairs.check_blocks, RecoveryError if N > 7812).
     """
-    if not isinstance(N_list, (list, tuple)) or not N_list:
-        raise RecoveryError("N_list must be a nonempty list")
-    ns = [integer(N, "N_list entry", RecoveryError, minimum=2) for N in N_list]
-    if len(set(ns)) != len(ns):
-        raise RecoveryError("N_list entries must be distinct")
+    ns = n_list(N_list, RecoveryError)
     grids = {N: measures.regrid(rho, _cube_count(N, rho.dim)) for N in sorted(ns)}
-    if rho.dim >= 2:
-        for N, grid in grids.items():
+    for N, grid in grids.items():
+        if rho.dim >= 2:
             measures.check_transport_size(N, int(np.count_nonzero(grid.masses > 0)))
+        pairs.check_blocks(N, RecoveryError)
     rows = []
     for N, grid in grids.items():
         e_rho = continuum_energy_grid(spec, grid, refine_levels=refine_levels)

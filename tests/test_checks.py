@@ -65,6 +65,24 @@ class TestChecks:
         assert out.dtype == float and np.array_equal(out, a) and not np.shares_memory(out, a)
         assert checks.reals([[1, np.float32(2.5)], [NAN, INF]], "p", ValueError).shape == (2, 2)
 
+    def test_n_list_returns_ints(self):
+        assert checks.n_list((np.int64(3), 2), Refused) == [3, 2]
+
+    @pytest.mark.parametrize("v, message", [
+        (5, "N_list must be a nonempty list"), ((), "N_list must be a nonempty list"),
+        ([2, 1], "N_list entry must be an integer >= 2"),
+        ([2, 3.0], "N_list entry must be an integer >= 2"),
+        ([3, 2, 3], "N_list entries must be distinct")])
+    def test_n_list_refuses(self, v, message):
+        with pytest.raises(Refused, match=f"^{message}$"):
+            checks.n_list(v, Refused)
+
+    def test_cells_refuses_above_the_cap(self):
+        assert checks.MAX_CELLS == 4_000_000
+        checks.cells(checks.MAX_CELLS, "a block", Refused)
+        with pytest.raises(Refused, match="^a block is above the cap of 4000000 cells$"):
+            checks.cells(checks.MAX_CELLS + 1, "a block", Refused)
+
     def test_json_file_reads_utf8(self, tmp_path):
         path = tmp_path / "a.json"
         path.write_text('{"x": ["\u00e9", 1.5]}', encoding="utf-8")
@@ -144,6 +162,11 @@ class TestChecks:
     (lambda: mea.GridDensity(["a"], [1.0], 4, np.full(4, 0.25)), mea.MeasureError),
     (lambda: mea.GridDensity([], [], 4, [1.0]), mea.MeasureError),
     (lambda: mea.GridDensity([0.0], [1.0], 2, ["a", "b"]), mea.MeasureError),
+    (lambda: opt.minimize_local(MORSE_U, cfg.Configuration(np.arange(4002.0).reshape(-1, 2)),
+                                ONE_STEP), cfg.ConfigurationError),
+    (lambda: opt.minimize_multistart(MORSE_U, 2001, ONE_STEP), cfg.ConfigurationError),
+    (lambda: rec.recovery_convergence_report(PL11, mea.uniform_box(1, 1.0, 64), [3_000_000]),
+     rec.RecoveryError),
 ], ids=["scan_negative_tolerance", "scan_empty_scales", "scan_float_resolution",
         "ball_mass_nan_radius", "report_nan_lower_mass_radius", "morrey_nan_exponent",
         "uniform_box_d0", "uniform_box_infinite_L", "uniform_box_float_resolution",
@@ -158,7 +181,8 @@ class TestChecks:
         "atomic_string_coordinate", "from_json_bool_coordinate",
         "from_json_string_coordinate", "grid_density_infinite_hi",
         "grid_density_bool_lo", "grid_density_string_lo", "grid_density_no_axes",
-        "grid_density_string_masses"])
+        "grid_density_string_masses", "minimize_local_N_2001", "multistart_N_2001",
+        "recovery_pair_block_N_3000000"])
 def test_library_refuses_what_the_cli_refuses(call, error):
     with pytest.raises(error):
         call()

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from pairenergy import cli
 from pairenergy import measures as mea
+from pairenergy import pairs
 from pairenergy import potentials as pot
 from pairenergy import recovery as rec
 from pairenergy.configuration import Configuration
@@ -406,6 +407,50 @@ def test_recover_above_the_cost_matrix_cap_is_config_error(tmp_path, monkeypatch
     assert run("recover", cfg, tmp_path / "out") == cli.EXIT_CONFIG
     assert capsys.readouterr().err == (f"config error: a transport cost matrix of {cells} "
                                        "cells is above the cap of 4000000 cells\n")
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("work began above the cell cap")
+
+
+@pytest.mark.parametrize("command, payload, target, array", [
+    ("minimize", {"potential": PL21_JSON, "N": 2001}, (pairs, "SelfBlock"),
+     "a trial pair block of 2001 x 2001 cells"),
+    ("sweep", {"potential": PL21_JSON, "N_list": [10, 2001]}, (cli, "minimize_multistart"),
+     "a trial pair block of 2001 x 2001 cells"),
+    ("recover", dict(RECOVER_1D, N_list=[3_000_000]), (rec, "build_recovery"),
+     "a pair block of 512 x 3000000 cells"),
+], ids=["minimize_N_2001", "sweep_N_10_then_2001", "recover_N_3000000"])
+def test_above_the_cell_cap_is_config_error_before_any_work(tmp_path, monkeypatch, capsys,
+                                                            command, payload, target, array):
+    # no pair block is built, no N of a sweep (N = 10 neither) is solved and no
+    # recovery configuration is built
+    monkeypatch.setattr(*target, _never)
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert run(command, cfg, tmp_path / "out") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: {array} is above the cap of "
+                                       "4000000 cells\n")
+
+
+def test_recover_fits_in_2_gib(tmp_path):
+    # with the address space of the child alone limited to 2 GiB, N = 3,000,000
+    # is one config error line, not a numpy MemoryError traceback, and the
+    # README's recover run still succeeds
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for n_list, code, err in (([3_000_000], cli.EXIT_CONFIG, "config error: a pair block of "
+                               "512 x 3000000 cells is above the cap of 4000000 cells\n"),
+                              ([16, 256, 4096], cli.EXIT_OK, "")):
+        cfg = write_config(tmp_path, "c.json", dict(RECOVER_1D, N_list=n_list))
+        out = subprocess.run([sys.executable, "-m", "pairenergy.cli", "recover", "--config", cfg,
+                              "--out", str(tmp_path / f"out{len(n_list)}")],
+                             capture_output=True, text=True, env=env, preexec_fn=limit)
+        assert (out.returncode, out.stderr) == (code, err)
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
