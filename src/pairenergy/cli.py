@@ -238,6 +238,7 @@ def cmd_recover(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
 
 def cmd_analyze(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
                 phases: dict) -> dict:
+    from .pairs import check_blocks
     diag_opts = _parse_diag(cfg.get("diagnostics"))
     path = cfg["configuration_file"]
     if not isinstance(path, str):
@@ -246,6 +247,7 @@ def cmd_analyze(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
         X = Configuration.load_csv(path)
     else:
         X = Configuration.load_json(path)
+    check_blocks(X.n, ConfigurationError)
     t0 = time.perf_counter()
     report = diag.build_report(spec, X, **diag_opts)
     phases["analyze"] = time.perf_counter() - t0

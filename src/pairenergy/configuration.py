@@ -1,8 +1,8 @@
 """Particle configurations: N points in R^d with implicit equal masses 1/N.
 
 Energies, per-particle potentials and forces are O(N^2) pair sums over the
-fixed row blocks of the `pairs` module, so results are bitwise reproducible
-for a given N.
+fixed row blocks or tiles of the `pairs` module, so results are bitwise
+reproducible for a given N.
 """
 
 from __future__ import annotations
@@ -112,8 +112,8 @@ class Configuration:
 
 def per_particle_potentials(spec: PotentialSpec, X: Configuration) -> np.ndarray:
     """P_i = (1/N) sum_{j != i} W(x_i - x_j)."""
-    blocks = _blocks(spec, X, "a per-particle potential")
-    return np.concatenate([blk.potentials(spec.radial) for blk in blocks]) / X.n
+    _blocks(spec, X, "a per-particle potential")  # only for its checks of N and d
+    return pairs.self_sums(X.points, spec.radial) / X.n
 
 
 def discrete_energy(spec: PotentialSpec, X: Configuration) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 from .checks import real
 from .configuration import (Configuration, ConfigurationError, _blocks, ball_mass,
                             diameter, min_pair_distance, per_particle_potentials)
-from .pairs import blocks
+from .pairs import blocks, self_sums
 from .potentials import PotentialSpec, _ball_deviation
 
 
@@ -130,17 +130,13 @@ def stationarity_check(spec: PotentialSpec, X: Configuration,
     minimum interparticle distance so no kernel singularity enters any
     averaging ball (else ConfigurationError).
     """
-    row_blocks = _blocks(spec, X, "a stationarity check")
+    _blocks(spec, X, "a stationarity check")  # only for its checks of N and d
     min_dist = min_pair_distance(X)
     eps = real(eps, "eps", ConfigurationError, above=0.0)
     if not eps < 0.5 * min_dist:
         raise ConfigurationError(
             f"eps must be below half the minimum pair distance ({0.5 * min_dist:g})")
-
-    def ball(r):
-        return _ball_deviation(spec.radial, r, eps, spec.dimension)
-
-    vals = np.concatenate([blk.potentials(ball) for blk in row_blocks])
+    vals = self_sums(X.points, lambda r: _ball_deviation(spec.radial, r, eps, X.dim))
     return StationarityResult(tuple(vals.tolist()), float(vals.min()), eps)
 
 

@@ -10,7 +10,11 @@ so results are bitwise reproducible for a given input: the blocking never
 depends on worker counts or the environment.  Every r^2 sums the squares of
 one (rows, N) difference array per coordinate, axis by axis: in d <= 2 that
 is bitwise the sum over the last axis of the (rows, N, d) differences, in
-d >= 3 not always.
+d >= 3 not always.  The per-particle sums (`self_sums`) take one kernel value
+per unordered pair, over 512 x 512 tiles I <= J.  At N <= 512 there is one
+tile, and each sum is bitwise the row sum of the full kernel matrix with its
+diagonal zeroed; above 512 it is a sum of tile sums, whose last digits can
+differ from that.
 """
 
 from __future__ import annotations
@@ -74,15 +78,31 @@ class SelfBlock:
         """sum over the block's rows i and all j != i of kernel(|x_i - x_j|)."""
         return float(self._values(kernel).sum())
 
-    def potentials(self, kernel) -> np.ndarray:
-        """sum_{j != i} kernel(|x_i - x_j|) for each row i of the block."""
-        return self._values(kernel).sum(axis=1)
-
     def forces(self, derivative) -> np.ndarray:
         """sum_{j != i} derivative(r_ij) (x_i - x_j) / r_ij for each row i, the
         force sum when `derivative` is W'; needs rmin > 0."""
         slope = self._values(lambda r: derivative(r) / r)
         return np.stack([np.add.reduce(slope * dk, axis=1) for dk in self.diff], axis=1)
+
+
+def self_sums(x: np.ndarray, kernel) -> np.ndarray:
+    """sum_{j != i} kernel(|x_i - x_j|) for each i: a diagonal tile mirrors its
+    strict upper triangle, an off-diagonal tile adds its rows to block I and
+    its columns to block J."""
+    out = np.zeros(len(x))
+    for i0 in range(0, len(x), _ROWS):
+        xi = x[i0:i0 + _ROWS]
+        r = distances(xi, xi)
+        upper = np.triu_indices(len(r), 1)
+        vals = np.zeros_like(r)
+        vals[upper] = kernel(r[upper])
+        vals += vals.T
+        out[i0:i0 + _ROWS] += vals.sum(axis=1)
+        for j0 in range(i0 + _ROWS, len(x), _ROWS):
+            vals = np.asarray(kernel(distances(xi, x[j0:j0 + _ROWS])), dtype=float)
+            out[i0:i0 + _ROWS] += vals.sum(axis=1)
+            out[j0:j0 + _ROWS] += vals.sum(axis=0)
+    return out
 
 
 def self_blocks(x: np.ndarray):

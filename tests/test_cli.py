@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pairenergy import cli
+from pairenergy import diagnostics as diag
 from pairenergy import measures as mea
 from pairenergy import pairs
 from pairenergy import potentials as pot
@@ -430,6 +431,19 @@ def test_above_the_cell_cap_is_config_error_before_any_work(tmp_path, monkeypatc
     assert run(command, cfg, tmp_path / "out") == cli.EXIT_CONFIG
     assert capsys.readouterr().err == (f"config error: {array} is above the cap of "
                                        "4000000 cells\n")
+
+
+def test_analyze_above_the_cell_cap_is_config_error_before_any_work(tmp_path, monkeypatch,
+                                                                    capsys):
+    # 7813 points need a 512 x 7813 pair block: refused before any report work
+    monkeypatch.setattr(diag, "build_report", _never)
+    points = tmp_path / "points.csv"
+    Configuration(np.arange(2 * 7813.0).reshape(-1, 2)).save_csv(points)
+    cfg = write_config(tmp_path, "c.json", {"potential": PL21_JSON,
+                                            "configuration_file": str(points)})
+    assert run("analyze", cfg, tmp_path / "out") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: a pair block of 512 x 7813 cells "
+                                       "is above the cap of 4000000 cells\n")
 
 
 def test_recover_fits_in_2_gib(tmp_path):

@@ -1,12 +1,16 @@
-"""Pair sums across the 512-row blocks of the pairs module, against exactly
-rounded sums (math.fsum) of the same terms computed one row at a time."""
+"""Pair sums across the 512-row blocks and 512 x 512 tiles of the pairs
+module, against exactly rounded sums (math.fsum) of the same terms computed
+one row at a time and against the row sums of the full kernel matrix."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairenergy import configuration as cfg
+from pairenergy import diagnostics as diag
 from pairenergy import measures as mea
 from pairenergy import pairs
 from pairenergy import potentials as pot
@@ -117,3 +121,81 @@ def test_atomic_energy_unequal_weights_across_row_blocks():
         r = np.sqrt(((pts[i] - pts) ** 2).sum(axis=1))
         terms.extend(w[i] * w * MORSE_W0_1.radial(r))
     assert close(mea.continuum_energy_atoms(MORSE_W0_1, mu), terms, 0.5)
+
+
+def full_row_sums(pts, kernel):
+    """Row sums of the full kernel matrix on pairs.distances, diagonal zeroed."""
+    vals = np.asarray(kernel(pairs.distances(pts, pts)), dtype=float)
+    np.fill_diagonal(vals, 0.0)
+    return vals.sum(axis=1)
+
+
+def per_particle_sums(spec, pts):
+    """[(output, kernel, divisor)] for per_particle_potentials (the radial
+    kernel, over N) and stationarity_check at eps = 1e-3 min distance (the
+    ball kernel): each output is the row sums of its kernel over divisor."""
+    X = cfg.Configuration(pts)
+    eps = 1e-3 * cfg.min_pair_distance(X)
+
+    def ball(r):
+        return pot._ball_deviation(spec.radial, r, eps, spec.dimension)
+
+    return [(cfg.per_particle_potentials(spec, X), spec.radial, X.n),
+            (np.array(diag.stationarity_check(spec, X, eps).values), ball, 1)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3, 200, 512])
+def test_one_tile_is_bitwise_the_full_row_sums(n, d):
+    pts = spread_points(n, d, 40 + n + d)
+    for got, kernel, divisor in per_particle_sums(FAMILIES["morse"](d), pts):
+        assert np.array_equal(got, full_row_sums(pts, kernel) / divisor)
+
+
+def assert_close_rows(got, want, pts, kernel, divisor):
+    """|got - want| <= REL times the row sums of |kernel| over divisor."""
+    scale = full_row_sums(pts, lambda r: np.abs(kernel(r))) / divisor
+    assert np.all(np.abs(got - want) <= REL * scale)
+
+
+@pytest.mark.parametrize("n, d", [(513, 2), (1100, 2), (513, 3)])
+def test_tile_sums_match_the_full_row_sums(n, d):
+    pts = spread_points(n, d, 50 + n + d)
+    for got, kernel, divisor in per_particle_sums(FAMILIES["morse"](d), pts):
+        assert_close_rows(got, full_row_sums(pts, kernel) / divisor, pts, kernel, divisor)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_per_particle_sums_permute_with_the_points(data):
+    d = data.draw(st.integers(1, 3), label="d")
+    n = data.draw(st.integers(2, 40), label="N")
+    # distinct coordinates on a 0.01 grid: no two points closer than 0.01
+    coords = data.draw(st.lists(st.integers(-400, 400), min_size=n * d,
+                                max_size=n * d, unique=True), label="coords")
+    pts = np.reshape(coords, (n, d)) / 100.0
+    perm = list(data.draw(st.permutations(range(n)), label="perm"))
+    spec = FAMILIES["morse"](d)
+    moved = per_particle_sums(spec, pts[perm])
+    for (got, kernel, divisor), (permuted, _, _) in zip(per_particle_sums(spec, pts), moved):
+        assert_close_rows(permuted, got[perm], pts[perm], kernel, divisor)
+
+
+def test_each_unordered_pair_is_evaluated_once():
+    # N(N-1)/2 radial values for the potentials, and as many ball averages of
+    # 128 nodes plus their centre values for one stationarity check in d = 2
+    seen = []
+
+    class Counting(pot.Morse):
+        def radial(self, r):
+            seen.append(np.size(r))
+            return super().radial(r)
+
+    n = 200
+    spec = Counting(2, 1.0, 0.5, 1.0, 1.0)
+    X = cfg.Configuration(spread_points(n, 2, 11))
+    cfg.per_particle_potentials(spec, X)
+    assert sum(seen) == n * (n - 1) // 2
+    seen.clear()
+    diag.stationarity_check(spec, X, 1e-3 * cfg.min_pair_distance(X))
+    assert sum(seen) == n * (n - 1) // 2 * 129

@@ -110,6 +110,19 @@ class TestRadialDerivative:
         assert expected == pytest.approx(-0.4326, abs=2e-4)
         assert w1 == pytest.approx(fd_derivative(spec, 1.0), rel=1e-6, abs=1e-9)
 
+    @pytest.mark.parametrize("r", [0.7, np.float64(0.7), np.array(0.7),
+                                   np.linspace(0.0, 9.0, 12).reshape(3, 4)],
+                             ids=["float", "float64", "0-d", "3x4"])
+    def test_morse_kernels_are_the_closed_forms_bitwise(self, r):
+        # the terms in the order of the formulas; a scalar in, a scalar out
+        c_r, l_r, c_a, l_a = MORSE_S.C_r, MORSE_S.l_r, MORSE_S.C_a, MORSE_S.l_a
+        x = np.asarray(r, dtype=float)
+        w = c_r * np.exp(-x / l_r) - c_a * np.exp(-x / l_a)
+        dw = (-c_r / l_r) * np.exp(-x / l_r) + (c_a / l_a) * np.exp(-x / l_a)
+        for got, want in ((MORSE_S.radial(r), w), (MORSE_S.radial_derivative(r), dw)):
+            assert np.array_equal(got, want) and np.shape(got) == np.shape(r)
+            assert isinstance(got, np.ndarray) == (np.ndim(r) > 0)
+
     def test_finite_difference_consistency(self):
         rng = np.random.default_rng(3)
         for spec in (PL21, MORSE_U, PL3_SING, pot.PowerLaw(1, 3.0, 0.5)):
