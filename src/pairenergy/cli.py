@@ -36,7 +36,8 @@ from . import potentials as pot
 from . import recovery
 from .checks import integer, json_file, json_object, n_list, real
 from .configuration import Configuration, ConfigurationError, diameter
-from .optimizer import OptimOpts, check_trial_size, minimize_multistart
+from .optimizer import OptimOpts, minimize_multistart
+from .pairs import check_rows, check_square
 from .svgplot import line_plot
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO = 0, 2, 3, 4
@@ -182,7 +183,7 @@ def cmd_sweep(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
     opts = _parse_optim(cfg.get("optim"), seed)
     diag_opts = _parse_diag(cfg.get("diagnostics"), keys=("morrey_exponent",))
     s = diag_opts.get("morrey_exponent", diag.default_morrey_exponent(spec))
-    check_trial_size(max(ns))   # before the first solve
+    check_square(max(ns), ConfigurationError)   # before the first solve
 
     rows = []
     all_converged = True
@@ -238,7 +239,6 @@ def cmd_recover(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
 
 def cmd_analyze(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
                 phases: dict) -> dict:
-    from .pairs import check_blocks
     diag_opts = _parse_diag(cfg.get("diagnostics"))
     path = cfg["configuration_file"]
     if not isinstance(path, str):
@@ -247,7 +247,7 @@ def cmd_analyze(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
         X = Configuration.load_csv(path)
     else:
         X = Configuration.load_json(path)
-    check_blocks(X.n, ConfigurationError)
+    check_rows(X.n, ConfigurationError)
     t0 = time.perf_counter()
     report = diag.build_report(spec, X, **diag_opts)
     phases["analyze"] = time.perf_counter() - t0

@@ -1,7 +1,7 @@
 """Particle configurations: N points in R^d with implicit equal masses 1/N.
 
 Energies, per-particle potentials and forces are O(N^2) pair sums over the
-fixed row blocks or tiles of the `pairs` module, so results are bitwise
+fixed tiles and blocks of the `pairs` module, so results are bitwise
 reproducible for a given N.
 """
 
@@ -112,7 +112,7 @@ class Configuration:
 
 def per_particle_potentials(spec: PotentialSpec, X: Configuration) -> np.ndarray:
     """P_i = (1/N) sum_{j != i} W(x_i - x_j)."""
-    _blocks(spec, X, "a per-particle potential")  # only for its checks of N and d
+    check_pair_sum(spec, X, "a per-particle potential")
     return pairs.self_sums(X.points, spec.radial) / X.n
 
 
@@ -121,23 +121,19 @@ def discrete_energy(spec: PotentialSpec, X: Configuration) -> float:
 
     +inf if a pair coincides and W is singular at the origin.
     """
-    total = 0.0
-    for blk in _blocks(spec, X, "the discrete energy"):
-        total += blk.energy(spec.radial)
-    return total / (2.0 * X.n * X.n)
+    check_pair_sum(spec, X, "the discrete energy")
+    return float(pairs.self_sums(X.points, spec.radial).sum()) / (2.0 * X.n * X.n)
 
 
 def per_particle_forces(spec: PotentialSpec, X: Configuration) -> np.ndarray:
-    """F_i = (1/N) sum_{j != i} grad W(x_i - x_j) (the N-independent force scale).
-
-    Errors on coincident pairs.
-    """
-    out = []
-    for blk in _blocks(spec, X, "a force"):
-        if blk.rmin == 0.0:
-            raise ConfigurationError("coincident pair: gradient undefined")
-        out.append(blk.forces(spec.radial_derivative))
-    return np.concatenate(out) / X.n
+    """F_i = (1/N) sum_{j != i} grad W(x_i - x_j), the N-independent force scale;
+    errors above N = 2000 (pairs.check_square) before any work, and on coincident pairs."""
+    check_pair_sum(spec, X, "a force")
+    pairs.check_square(X.n, ConfigurationError)
+    blk = pairs.SelfBlock(X.points)
+    if blk.rmin == 0.0:
+        raise ConfigurationError("coincident pair: gradient undefined")
+    return blk.forces(spec.radial_derivative) / X.n
 
 
 def diameter(X: Configuration) -> float:
@@ -147,7 +143,11 @@ def diameter(X: Configuration) -> float:
 
 def min_pair_distance(X: Configuration) -> float:
     """Smallest distance between two distinct particles (inf for N = 1)."""
-    return min(blk.rmin for blk in pairs.self_blocks(X.points))
+    rmin = np.inf
+    for i0, r in pairs.blocks(X.points):
+        np.fill_diagonal(r[:, i0:], np.inf)   # the self pairs
+        rmin = min(rmin, float(r.min()))
+    return rmin
 
 
 def ball_mass(X: Configuration, i: int, r: float) -> float:
@@ -165,11 +165,11 @@ def ball_mass(X: Configuration, i: int, r: float) -> float:
     return count / X.n
 
 
-def _blocks(spec: PotentialSpec, X: Configuration, what: str):
-    """The pair blocks of X, once X is checked to have `what` under spec."""
+def check_pair_sum(spec: PotentialSpec, X: Configuration, what: str):
+    """Refuse a pair sum `what` of X under spec: N < 2 (ConfigurationError) or
+    another dimension than the potential's (PotentialError)."""
     if X.n < 2:
         raise ConfigurationError(f"{what} needs N >= 2")
     if spec.dimension != X.dim:
         raise PotentialError(
             f"potential dimension {spec.dimension} != configuration dimension {X.dim}")
-    return pairs.self_blocks(X.points)

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .checks import real
-from .configuration import (Configuration, ConfigurationError, _blocks, ball_mass,
+from .configuration import (Configuration, ConfigurationError, ball_mass, check_pair_sum,
                             diameter, min_pair_distance, per_particle_potentials)
 from .pairs import blocks, self_sums
 from .potentials import PotentialSpec, _ball_deviation
@@ -50,16 +50,15 @@ def empirical_morrey_seminorm(X: Configuration, exponent: float) -> MorreySemino
     counts = np.arange(1, n + 1) / n
     best, bi, br = -math.inf, 0, math.nan
     for i0, r in blocks(X.points):
-        rows = np.arange(len(r))
         # the self pair sorts last, where inf^{-exponent} = 0 never wins
-        r[rows, i0 + rows] = np.inf
+        np.fill_diagonal(r[:, i0:], np.inf)
         r.sort(axis=1)
         coincident = r[:, 0] == 0.0
         if coincident.any():
             return MorreySeminorm(math.inf, i0 + int(np.argmax(coincident)), 0.0)
         vals = r ** (-exponent) * counts
         k = vals.argmax(axis=1)
-        row_best = vals[rows, k]
+        row_best = vals.max(axis=1)
         i = int(np.argmax(row_best))
         if row_best[i] > best:
             best, bi, br = float(row_best[i]), i0 + i, float(r[i, k[i]])
@@ -130,7 +129,7 @@ def stationarity_check(spec: PotentialSpec, X: Configuration,
     minimum interparticle distance so no kernel singularity enters any
     averaging ball (else ConfigurationError).
     """
-    _blocks(spec, X, "a stationarity check")  # only for its checks of N and d
+    check_pair_sum(spec, X, "a stationarity check")
     min_dist = min_pair_distance(X)
     eps = real(eps, "eps", ConfigurationError, above=0.0)
     if not eps < 0.5 * min_dist:

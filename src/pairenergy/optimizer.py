@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import pairs
-from .checks import cells, integer, real
-from .configuration import (Configuration, ConfigurationError, _blocks,
+from .checks import integer, real
+from .configuration import (Configuration, ConfigurationError, check_pair_sum,
                             min_pair_distance)
 from .potentials import PotentialSpec
 
@@ -118,11 +118,6 @@ def _lbfgs_direction(grad: np.ndarray, memory, scale: float) -> np.ndarray:
     return -q.reshape(grad.shape)
 
 
-def check_trial_size(n: int):
-    """Refuse with ConfigurationError an N x N trial block above checks.MAX_CELLS."""
-    cells(n * n, f"a trial pair block of {n} x {n} cells", ConfigurationError)
-
-
 def minimize_local(spec: PotentialSpec, X0: Configuration,
                    opts: OptimOpts) -> OptimResult:
     """Descend E_N from X0; monotone by construction.
@@ -134,12 +129,12 @@ def minimize_local(spec: PotentialSpec, X0: Configuration,
     are rejected and halved.  Non-convergence is reported in
     `stop_reason`, not raised: "stalled" when no step down to the smallest
     length is accepted, "max_iters" when the iteration budget runs out.  An
-    N > 2000 (an N x N trial block above checks.MAX_CELLS) raises ConfigurationError.
+    N > 2000 (pairs.check_square, the N x N block) raises ConfigurationError.
     """
     opts = opts.resolved(spec)
-    _blocks(spec, X0, "minimisation")  # only for its checks of N and d
+    check_pair_sum(spec, X0, "minimisation")
     n = X0.n
-    check_trial_size(n)
+    pairs.check_square(n, ConfigurationError)
 
     guard = opts.min_pair_dist if spec.singular_at_origin else 0.0
     radial, derivative = spec.radial, spec.radial_derivative

@@ -1,20 +1,21 @@
 """Pairwise distances and the kernel sums built on them.
 
-Every particle distance of the package is measured here: the discrete
-energy, the per-particle potentials and forces (also inside the optimizer),
-the stationarity sums, the empirical Morrey seminorm, the ball masses, the
-atomic continuum energy and the transport cost matrices.  The sums take the
-kernel itself, a function of the distance such as a potential's `radial`
-(W(0) included) or `radial_derivative`.  Rows are processed in fixed blocks,
-so results are bitwise reproducible for a given input: the blocking never
-depends on worker counts or the environment.  Every r^2 sums the squares of
-one (rows, N) difference array per coordinate, axis by axis: in d <= 2 that
-is bitwise the sum over the last axis of the (rows, N, d) differences, in
-d >= 3 not always.  The per-particle sums (`self_sums`) take one kernel value
-per unordered pair, over 512 x 512 tiles I <= J.  At N <= 512 there is one
-tile, and each sum is bitwise the row sum of the full kernel matrix with its
-diagonal zeroed; above 512 it is a sum of tile sums, whose last digits can
-differ from that.
+Every particle distance of the package is measured here, by one r^2 rule:
+the squares of one (rows, N) difference array per coordinate, summed axis by
+axis (in d <= 2 bitwise the sum over the last axis of the (rows, N, d)
+differences, in d >= 3 not always).  The sums take the kernel itself, such as
+a potential's `radial` (W(0) included) or `radial_derivative`.  Self pairs are
+walked in three fixed shapes, one job each, that never depend on worker counts
+or the environment, so results are bitwise reproducible for a given input:
+
+- `self_sums`: 512 x 512 tiles I <= J, one kernel value per unordered pair,
+  for the energy, the per-particle potentials and the stationarity sums.  At
+  N <= 512 (one tile) each sum is bitwise the row sum of the full kernel
+  matrix with its diagonal zeroed; above, a sum of tile sums.
+- `blocks`: 512 rows against all points (capped by `check_rows`), for per-row
+  order statistics: Morrey, diameter, minimum distance, atomic energy.
+- `SelfBlock`: one N x N block (capped by `check_square`), for the solver's
+  trial energies and for the forces.
 """
 
 from __future__ import annotations
@@ -40,9 +41,14 @@ def distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _differences(x, y)[1]
 
 
-def check_blocks(n: int, error: type[Exception]):
+def check_rows(n: int, error: type[Exception]):
     """Refuse with `error` n points whose row block is above checks.MAX_CELLS."""
     cells(min(n, _ROWS) * n, f"a pair block of {min(n, _ROWS)} x {n} cells", error)
+
+
+def check_square(n: int, error: type[Exception]):
+    """Refuse with `error` n points whose SelfBlock is above checks.MAX_CELLS."""
+    cells(n * n, f"a trial pair block of {n} x {n} cells", error)
 
 
 def blocks(x: np.ndarray):
@@ -52,34 +58,32 @@ def blocks(x: np.ndarray):
 
 
 class SelfBlock:
-    """Rows i0:stop of a point set x against all of x.
+    """A point set x against itself, in one N x N block.
 
     `diff[k]` holds x_ik - x_jk and `rmin` is the smallest distance between
-    distinct points in the block.  Self-distances are stored as 1.0 so
-    kernels never see them; the sums below leave the self-pairs out.
+    distinct points.  Self-distances are stored as 1.0 so kernels never see
+    them; the sums below leave the self-pairs out.
     """
 
-    __slots__ = ("diff", "r", "rmin", "_self")
+    __slots__ = ("diff", "r", "rmin")
 
-    def __init__(self, x: np.ndarray, i0: int = 0, stop: int | None = None):
-        self.diff, self.r = _differences(x[i0:stop], x)
-        rows = np.arange(len(self.r))
-        self._self = (rows, i0 + rows)
-        self.r[self._self] = np.inf
+    def __init__(self, x: np.ndarray):
+        self.diff, self.r = _differences(x, x)
+        np.fill_diagonal(self.r, np.inf)
         self.rmin = float(self.r.min())
-        self.r[self._self] = 1.0
+        np.fill_diagonal(self.r, 1.0)
 
     def _values(self, kernel) -> np.ndarray:
         vals = np.asarray(kernel(self.r), dtype=float)
-        vals[self._self] = 0.0
+        np.fill_diagonal(vals, 0.0)
         return vals
 
     def energy(self, kernel) -> float:
-        """sum over the block's rows i and all j != i of kernel(|x_i - x_j|)."""
+        """sum over i and all j != i of kernel(|x_i - x_j|)."""
         return float(self._values(kernel).sum())
 
     def forces(self, derivative) -> np.ndarray:
-        """sum_{j != i} derivative(r_ij) (x_i - x_j) / r_ij for each row i, the
+        """sum_{j != i} derivative(r_ij) (x_i - x_j) / r_ij for each i, the
         force sum when `derivative` is W'; needs rmin > 0."""
         slope = self._values(lambda r: derivative(r) / r)
         return np.stack([np.add.reduce(slope * dk, axis=1) for dk in self.diff], axis=1)
@@ -103,9 +107,3 @@ def self_sums(x: np.ndarray, kernel) -> np.ndarray:
             out[i0:i0 + _ROWS] += vals.sum(axis=1)
             out[j0:j0 + _ROWS] += vals.sum(axis=0)
     return out
-
-
-def self_blocks(x: np.ndarray):
-    """SelfBlocks over the row blocks of x."""
-    for i0 in range(0, len(x), _ROWS):
-        yield SelfBlock(x, i0, i0 + _ROWS)

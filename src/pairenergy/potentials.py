@@ -163,13 +163,19 @@ class Morse:
         return min(w_min, 0.0)
 
     def stability(self) -> StabilityReport:
-        """Unstable iff C_r/C_a < (l_a/l_r)^d when l_r < l_a, strictly stable
-        in the complementary open regime; equality and l_r >= l_a are
-        unknown."""
+        """When l_r < l_a: unstable iff C_r/C_a < (l_a/l_r)^d, strictly stable
+        above, unknown at equality.  When l_r >= l_a: unstable iff C_r < C_a (a
+        point mass has E = W(0)/2 < 0 = W_inf/2), else unknown: W >= 0 gives
+        E >= W_inf/2, an equality at a point mass when C_r = C_a.  The margin
+        is the distance of C_r/C_a from its threshold, (l_a/l_r)^d or 1."""
         ratio = self.C_r / self.C_a
         threshold = (self.l_a / self.l_r) ** self.dimension
         if self.l_r >= self.l_a:
-            return StabilityReport(UNKNOWN, None, "l_r >= l_a regime is not classified")
+            if ratio < 1.0:
+                return StabilityReport(UNSTABLE, 1.0 - ratio,
+                                       f"C_r/C_a = {ratio:g} < 1 with l_r >= l_a: W(0) < 0")
+            return StabilityReport(UNKNOWN, None,
+                                   "l_r >= l_a, C_r >= C_a: E >= W_inf/2, not shown strict")
         if ratio < threshold:
             return StabilityReport(UNSTABLE, threshold - ratio,
                                    f"C_r/C_a = {ratio:g} < (l_a/l_r)^d = {threshold:g}")

@@ -155,14 +155,14 @@ def recovery_convergence_report(spec: PotentialSpec, rho: GridDensity,
     integers >= 2 raises RecoveryError.  Before any N is built, each N is
     checked against checks.MAX_CELLS: in d >= 2 the W1 cost matrix against
     its grid's nonempty cells (measures.check_transport_size, MeasureError),
-    then its pair row block (pairs.check_blocks, RecoveryError if N > 7812).
+    then the pair row block (pairs.check_rows, RecoveryError if N > 7812).
     """
     ns = n_list(N_list, RecoveryError)
     grids = {N: measures.regrid(rho, _cube_count(N, rho.dim)) for N in sorted(ns)}
     for N, grid in grids.items():
         if rho.dim >= 2:
             measures.check_transport_size(N, int(np.count_nonzero(grid.masses > 0)))
-        pairs.check_blocks(N, RecoveryError)
+        pairs.check_rows(N, RecoveryError)
     rows = []
     for N, grid in grids.items():
         e_rho = continuum_energy_grid(spec, grid, refine_levels=refine_levels)

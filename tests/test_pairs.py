@@ -3,6 +3,7 @@ module, against exactly rounded sums (math.fsum) of the same terms computed
 one row at a time and against the row sums of the full kernel matrix."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,8 +81,6 @@ def test_one_r2_rule(d):
     r = pairs.distances(pts, pts)
     off = ~np.eye(n, dtype=bool)
     assert np.array_equal(pairs.SelfBlock(pts).r[off], r[off])
-    rows = np.concatenate([blk.r for blk in pairs.self_blocks(pts)])
-    assert np.array_equal(rows[off], r[off])
     X = cfg.Configuration(pts)
     assert cfg.min_pair_distance(X) == r[off].min()
     assert cfg.diameter(X) == r.max()
@@ -182,8 +181,9 @@ def test_per_particle_sums_permute_with_the_points(data):
 
 
 def test_each_unordered_pair_is_evaluated_once():
-    # N(N-1)/2 radial values for the potentials, and as many ball averages of
-    # 128 nodes plus their centre values for one stationarity check in d = 2
+    # N(N-1)/2 radial values for the potentials and for the energy, across
+    # tiles too, and as many ball averages of 128 nodes plus their centre
+    # values for one stationarity check in d = 2
     seen = []
 
     class Counting(pot.Morse):
@@ -196,6 +196,33 @@ def test_each_unordered_pair_is_evaluated_once():
     X = cfg.Configuration(spread_points(n, 2, 11))
     cfg.per_particle_potentials(spec, X)
     assert sum(seen) == n * (n - 1) // 2
+    for m in (n, 1100):
+        seen.clear()
+        cfg.discrete_energy(spec, cfg.Configuration(spread_points(m, 2, 12)))
+        assert sum(seen) == m * (m - 1) // 2
     seen.clear()
     diag.stationarity_check(spec, X, 1e-3 * cfg.min_pair_distance(X))
     assert sum(seen) == n * (n - 1) // 2 * 129
+
+
+def test_energy_allocates_tiles_not_row_blocks():
+    # a 512 x 3000 row block of differences and distances alone is 12 MiB per
+    # array; the tiles of the energy stay within 16 MiB at N = 3000
+    X = cfg.Configuration(spread_points(3000, 2, 13))
+    tracemalloc.start()
+    try:
+        cfg.discrete_energy(FAMILIES["morse"](2), X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
+def test_forces_above_the_solver_block_cap_are_refused_before_any_work(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a pair block was built")
+    monkeypatch.setattr(pairs, "SelfBlock", never)
+    X = cfg.Configuration(spread_points(2001, 2, 14))
+    with pytest.raises(cfg.ConfigurationError,
+                       match="a trial pair block of 2001 x 2001 cells is above the cap"):
+        cfg.per_particle_forces(FAMILIES["morse"](2), X)

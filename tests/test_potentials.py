@@ -15,6 +15,11 @@ PL21_D1 = pot.PowerLaw(1, 2.0, 1.0)
 PL3_SING = pot.PowerLaw(3, 2.0, -0.5)
 MORSE_U = pot.Morse(2, 1.0, 0.5, 1.0, 1.0)
 MORSE_S = pot.Morse(2, 5.0, 0.5, 1.0, 1.0)
+# l_r >= l_a and C_r < C_a, with the margin 1 - C_r/C_a
+UNSTABLE_AT_THE_ORIGIN = [(pot.Morse(2, 0.5, 1.0, 1.0, 0.5), 0.5),
+                          (pot.Morse(2, 0.9, 2.0, 1.0, 1.0), 0.1),
+                          (pot.Morse(1, 0.5, 1.0, 1.0, 1.0), 0.5),
+                          (pot.Morse(3, 0.8, 1.0, 1.0, 0.5), 0.2)]
 
 
 def fd_derivative(spec, r, h=1e-6):
@@ -396,8 +401,13 @@ class TestStability:
     def test_boundary_and_unordered_scales(self):
         boundary = pot.Morse(2, 4.0, 0.5, 1.0, 1.0)   # ratio == threshold
         assert boundary.stability().classification == pot.UNKNOWN
-        swapped = pot.Morse(2, 1.0, 2.0, 1.0, 1.0)    # l_r >= l_a
+        swapped = pot.Morse(2, 1.0, 2.0, 1.0, 1.0)    # l_r >= l_a, C_r = C_a
         assert swapped.stability().classification == pot.UNKNOWN
+        # l_r >= l_a and C_r < C_a: W(0) < 0, so a point mass is below W_inf/2
+        for spec, margin in UNSTABLE_AT_THE_ORIGIN:
+            report = spec.stability()
+            assert report.classification == pot.UNSTABLE
+            assert report.margin == pytest.approx(margin)
 
     def test_margin_sign(self):
         assert MORSE_U.stability().margin > 0
@@ -434,7 +444,8 @@ class TestInstabilityScan:
 
     def test_unstable_verdicts_corroborated(self):
         # classify says Unstable with finite W_inf -> the scan certifies it
-        for spec in (MORSE_U, pot.Morse(2, 1.0, 0.3, 2.0, 1.0)):
+        for spec in (MORSE_U, pot.Morse(2, 1.0, 0.3, 2.0, 1.0),
+                     *(spec for spec, _ in UNSTABLE_AT_THE_ORIGIN)):
             report = spec.stability()
             if report.classification != pot.UNSTABLE:
                 continue
