@@ -1,8 +1,12 @@
 """Approximate global minimisation of the discrete interaction energy.
 
 Local search takes L-BFGS directions (the two-loop recursion of Liu & Nocedal
-1989) with monotone Armijo backtracking and a pair-collision guard; global
-search wraps it in seeded multistart plus basin-hopping kicks.  The stopping
+1989) with monotone Armijo backtracking and a pair-collision guard.  Once the
+force residual is at most 1e-6, and N d <= 2000 (the dense Hessian within
+checks.MAX_CELLS), it takes Newton steps from the exact Hessian, shifted along
+the rigid motions; where that Hessian is not positive definite (as near a
+saddle) the step stays L-BFGS.  Global search wraps
+local search in seeded multistart plus basin-hopping kicks.  The stopping
 rule uses the per-particle force scale F_i = (1/N) sum_j grad W(x_i - x_j) so
 tolerances are N-independent.
 
@@ -21,12 +25,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import pairs
-from .checks import integer, real
+from .checks import MAX_CELLS, integer, real
 from .configuration import (Configuration, ConfigurationError, check_pair_sum,
                             min_pair_distance)
 from .potentials import PotentialSpec
 
 _ARMIJO_C = 1e-4
+# Newton steps below this force residual: at 1e-4 or 1e-5 iterates still had
+# negative curvature, and Newton steps jumped to other minima
+_NEWTON_RESIDUAL = 1e-6
 _SHRINK = 0.5
 _STEP_MIN = 1e-12
 _MEMORY = 10            # curvature pairs kept by L-BFGS
@@ -118,6 +125,45 @@ def _lbfgs_direction(grad: np.ndarray, memory, scale: float) -> np.ndarray:
     return -q.reshape(grad.shape)
 
 
+def _newton_direction(block: pairs.SelfBlock, x: np.ndarray, grad: np.ndarray,
+                      spec: PotentialSpec) -> np.ndarray | None:
+    """-H^-1 grad for the Hessian H of N E_N at x, whose pair block is
+    `block`, with max(diag H) added along each rigid motion; None when that
+    shifted H is not positive definite.
+
+    The rigid motions, orthonormal, are the translations e_k / sqrt(N) and the
+    rotations about the centroid in each coordinate plane, Gram-Schmidt'd.
+    """
+    n, d = x.shape
+    h = block.hessian(spec.radial_derivative, spec.radial_second)
+    h /= n
+    shift = float(h.diagonal().max())
+    for k in range(d):
+        h[k::d, k::d] += shift / n
+    centred = x - x.mean(axis=0)
+    rotations = []
+    for k in range(d):
+        for m in range(k + 1, d):
+            q = np.zeros((n, d))
+            q[:, k], q[:, m] = -centred[:, m], centred[:, k]
+            q = q.ravel()
+            size = np.linalg.norm(q)
+            for p in rotations:
+                q -= (p @ q) * p
+            # a rotation that moves (next to) nothing, as about the line of
+            # collinear points in d = 3, has no null direction to shift
+            norm = np.linalg.norm(q)
+            if norm > 1e-8 * size:
+                rotations.append(q / norm)
+    for q in rotations:
+        h += np.outer(shift * q, q)
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return None
+    return -np.linalg.solve(h, grad.ravel()).reshape(n, d)
+
+
 def minimize_local(spec: PotentialSpec, X0: Configuration,
                    opts: OptimOpts) -> OptimResult:
     """Descend E_N from X0; monotone by construction.
@@ -130,6 +176,13 @@ def minimize_local(spec: PotentialSpec, X0: Configuration,
     `stop_reason`, not raised: "stalled" when no step down to the smallest
     length is accepted, "max_iters" when the iteration budget runs out.  An
     N > 2000 (pairs.check_square, the N x N block) raises ConfigurationError.
+
+    Each iteration takes the L-BFGS direction, except that once the force
+    residual is at most 1e-6 and N d <= 2000 it tries the Newton direction
+    of _newton_direction first: when the Cholesky factorisation finds the
+    rigid-motion-shifted Hessian not positive definite, the iteration takes
+    the L-BFGS direction.  Either step is backtracked by the same Armijo and
+    collision rules, counts as one iteration, and feeds the L-BFGS memory.
     """
     opts = opts.resolved(spec)
     check_pair_sum(spec, X0, "minimisation")
@@ -138,14 +191,15 @@ def minimize_local(spec: PotentialSpec, X0: Configuration,
 
     guard = opts.min_pair_dist if spec.singular_at_origin else 0.0
     radial, derivative = spec.radial, spec.radial_derivative
-    # f is N E_N; an accepted trial's block is reused for its forces
+    newton = (n * X0.dim) ** 2 <= MAX_CELLS
+    # f is N E_N; an accepted trial's block is reused for its forces and Hessian
     x = np.array(X0.points)
-    state = pairs.SelfBlock(x)
-    if state.rmin == 0.0 or state.rmin < guard:
+    block = pairs.SelfBlock(x)
+    if block.rmin == 0.0 or block.rmin < guard:
         # no force at a coincident pair, under any kernel
         raise ConfigurationError("initial configuration has a (near-)coincident pair")
-    f = state.energy(radial) / (2.0 * n)
-    grad = state.forces(derivative) / n
+    f = block.energy(radial) / (2.0 * n)
+    grad = block.forces(derivative) / n
     residual = float(np.max(np.linalg.norm(grad, axis=1)))
     trace = [f / n]
     iters = 0
@@ -156,7 +210,10 @@ def minimize_local(spec: PotentialSpec, X0: Configuration,
             stop = "max_iters"
             break
         iters += 1
-        d = _lbfgs_direction(grad, memory, 1.0 / max(1.0, residual))
+        d = _newton_direction(block, x, grad, spec) \
+            if newton and residual <= _NEWTON_RESIDUAL else None
+        if d is None:
+            d = _lbfgs_direction(grad, memory, 1.0 / max(1.0, residual))
         slope = float(grad.ravel() @ d.ravel())
         if not slope < 0:
             memory.clear()
@@ -181,7 +238,7 @@ def minimize_local(spec: PotentialSpec, X0: Configuration,
         sy = float(s @ y)
         if sy > _CURVATURE_EPS * math.sqrt((s @ s) * (y @ y)):
             memory.append((s, y, 1.0 / sy))
-        x, f, grad = x_new, f_new, grad_new
+        x, f, grad, block = x_new, f_new, grad_new, trial
         trace.append(f / n)
         residual = float(np.max(np.linalg.norm(grad, axis=1)))
 

@@ -15,7 +15,7 @@ or the environment, so results are bitwise reproducible for a given input:
 - `blocks`: 512 rows against all points (capped by `check_rows`), for per-row
   order statistics: Morrey, diameter, minimum distance, atomic energy.
 - `SelfBlock`: one N x N block (capped by `check_square`), for the solver's
-  trial energies and for the forces.
+  trial energies, the forces and the solver's dense Hessian.
 """
 
 from __future__ import annotations
@@ -87,6 +87,32 @@ class SelfBlock:
         force sum when `derivative` is W'; needs rmin > 0."""
         slope = self._values(lambda r: derivative(r) / r)
         return np.stack([np.add.reduce(slope * dk, axis=1) for dk in self.diff], axis=1)
+
+    def hessian(self, derivative, second) -> np.ndarray:
+        """The Jacobian of forces(derivative) when `second` is the derivative
+        of `derivative` (W' and W''), an (N d, N d) array indexed like the
+        flattened (N, d) points; needs rmin > 0.
+
+        A pair i != j has the block -(W'/r I + (W'' - W'/r)/r^2 z z^T) at
+        z = x_i - x_j, and the diagonal block of i is minus the sum of its row.
+        """
+        n, d = len(self.r), len(self.diff)
+        slope = self._values(lambda r: derivative(r) / r)
+        bend = self._values(second)
+        bend -= slope
+        bend /= self.r * self.r
+        h = np.empty((n, d, n, d))
+        own = np.arange(n)
+        for k in range(d):
+            for m in range(k, d):
+                pair = bend * self.diff[k] * self.diff[m]
+                if k == m:
+                    pair += slope
+                h[:, k, :, m] = -pair
+                h[own, k, own, m] = pair.sum(axis=1)
+                if k != m:   # each pair block is symmetric in i and j
+                    h[:, m, :, k] = h[:, k, :, m]
+        return h.reshape(n * d, n * d)
 
 
 def self_sums(x: np.ndarray, kernel) -> np.ndarray:

@@ -5,7 +5,8 @@ numeric instability certificates.
 A potential is a radially symmetric function W on R^d, attractive at long
 range and repulsive at short range.  Everything downstream (energies,
 diagnostics, recovery constructions) only needs the radial profile, its
-derivative, and what each family carries: W_min (the minimum of W, or its
+derivative W' (`radial_derivative`; the solver's Newton steps also take W'',
+`radial_second`), and what each family carries: W_min (the minimum of W, or its
 infimum where none is attained), W_inf (its limit at infinity), R_W (a radius
 beyond which W is radially strictly increasing, +inf when there is none; it
 sets the minimiser diameter bound K_N = 2 sqrt(d) (N-1) R_W), beta (the
@@ -115,6 +116,11 @@ class PowerLaw:
         r = np.asarray(r, dtype=float)
         return r ** (self.a - 1.0) - r ** (self.b - 1.0)
 
+    def radial_second(self, r):
+        """W''(r) = (a-1) r^(a-2) - (b-1) r^(b-2); r must be > 0."""
+        r = np.asarray(r, dtype=float)
+        return (self.a - 1.0) * r ** (self.a - 2.0) - (self.b - 1.0) * r ** (self.b - 2.0)
+
 
 @dataclass(frozen=True)
 class Morse:
@@ -190,6 +196,9 @@ class Morse:
     def radial_derivative(self, r):
         return self._exponentials(r, -self.C_r / self.l_r, self.C_a / self.l_a)
 
+    def radial_second(self, r):
+        return self._exponentials(r, self.C_r / self.l_r**2, -self.C_a / self.l_a**2)
+
     def _exponentials(self, r, c_r, c_a):
         """c_r e^(-r/l_r) + c_a e^(-r/l_a) in two buffers; a scalar for a 0-d r."""
         r = np.asarray(r, dtype=float)
@@ -244,24 +253,32 @@ def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.nda
     squared first components of its eigenvectors (Golub & Welsch 1969).  For
     alpha = beta the rule is mirrored to be exactly symmetric, and for
     alpha = beta = -1/2 it is the closed-form Chebyshev rule, weights pi/n.
+
+    The coefficients are formed from alpha + 1 and beta + 1, exact for
+    parameters in [-1, -1/2], and from their sum ab2 = alpha + beta + 2, which
+    keeps its relative accuracy as both parameters approach -1 (formed as
+    alpha + beta + 2 it would carry an absolute rounding of 1e-16, 5e-12 of
+    ab2 = 2e-5, and the rule would miss its moments by about as much).
     """
     if alpha == beta == -0.5:
         x = np.sin(np.pi * np.arange(1 - n, n, 2) / (2 * n))
         return (x - x[::-1]) / 2, np.full(n, np.pi / n)
-    ab = alpha + beta   # one rounding, so ab + 2 is exact near ab = -2
+    a1, b1 = alpha + 1.0, beta + 1.0
+    ab2 = a1 + b1
     k = np.arange(1.0, n)
-    s = 2 * k + ab
+    s = 2 * (k - 1) + ab2   # 2k + alpha + beta
     diag = np.empty(n)
-    diag[0] = (beta - alpha) / (ab + 2)
-    diag[1:] = (beta - alpha) * ab / (s * (s + 2))
-    off2 = 4 * k * (k + alpha) * (k + beta) / (s * s * (s + 1))
-    # times (k + ab) / (s - 1), which is 1 at k = 1, its limit at ab = -1
-    off2[1:] *= (k[1:] + ab) / (s[1:] - 1)
+    diag[0] = (beta - alpha) / ab2
+    diag[1:] = (beta - alpha) * (ab2 - 2) / (s * (s + 2))
+    off2 = 4 * k * (k - 1 + a1) * (k - 1 + b1) / (s * s * (s + 1))
+    # times (k + alpha + beta) / (s - 1), which is 1 at k = 1, its limit at
+    # alpha + beta = -1
+    off2[1:] *= (k[1:] - 2 + ab2) / (s[1:] - 1)
     x, v = np.linalg.eigh(np.diag(diag) + np.diag(np.sqrt(off2), -1))
     w = v[0] ** 2
     if alpha == beta:
         x, w = (x - x[::-1]) / 2, (w + w[::-1]) / 2
-    mu0 = 2.0 ** (ab + 1) * math.gamma(alpha + 1) * math.gamma(beta + 1) / math.gamma(ab + 2)
+    mu0 = 2.0 ** (ab2 - 1) * math.gamma(a1) * math.gamma(b1) / math.gamma(ab2)
     return x, mu0 * w
 
 

@@ -12,27 +12,30 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 55
 _COLOR = "#1f77b4"
 
 
+def _flat(lo: float, hi: float) -> bool:
+    """True when [lo, hi] spans no more than the rounding of its ends (or, next
+    to 0, less than 1e-312), so that no tick step can be told from the ends."""
+    return hi - lo <= 1e-12 * max(abs(lo), abs(hi), 1e-300)
+
+
 def _ticks(lo: float, hi: float, log: bool) -> list[float]:
     """Tick values of an axis spanning [lo, hi] in plot coordinates: the
     powers of ten inside it on a log axis (lo and hi are then log10 values),
-    else steps of 1, 2 or 5 times a power of ten."""
+    else the multiples k * step inside it, step 1, 2 or 5 times a power of
+    ten; [lo] alone for a span at rounding level."""
     if log:
         return [10.0 ** e for e in range(math.ceil(lo), math.floor(hi) + 1)]
-    span = hi - lo
-    if span <= 0:
+    if _flat(lo, hi):
         return [lo]
+    span = hi - lo
     step = 10.0 ** math.floor(math.log10(span / 4))
     for mult in (1, 2, 5, 10):
         if span / (step * mult) <= 6:
             step *= mult
             break
-    first = math.ceil(lo / step) * step
-    out = []
-    t = first
-    while t <= hi + 1e-12 * abs(span):
-        out.append(t)
-        t += step
-    return out
+    # a tick that rounds past an end stays; line_plot drops those off the frame
+    return [k * step for k in range(math.ceil(lo / step - 1e-9),
+                                    math.floor(hi / step + 1e-9) + 1)]
 
 
 def _fmt(v: float) -> str:
@@ -57,9 +60,9 @@ def line_plot(path, xs, ys, label, *, title, xlabel, ylabel, logx=False, logy=Fa
 
     x_lo, x_hi = min(map(tx, xs_all)), max(map(tx, xs_all))
     y_lo, y_hi = min(map(ty, ys_all)), max(map(ty, ys_all))
-    if x_hi == x_lo:
+    if _flat(x_lo, x_hi):
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
+    if _flat(y_lo, y_hi):
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
     pad_y = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad_y, y_hi + pad_y

@@ -166,6 +166,39 @@ class TestMinimizeLocal:
             x0 = opt._sample_ball(rng, 50, 2, opts.init_radius)
             assert opt.minimize_local(MORSE, cfg.Configuration(x0), opts).converged, k
 
+    def test_leaves_a_saddle(self, monkeypatch):
+        # three collinear points at spacing 2/3 are a saddle of W = r^2/2 - r:
+        # W'(2/3) + W'(4/3) = 0, and moving the middle point off the line has
+        # curvature 2 W'(2/3) / (2/3) = -1.  The start's residual is below the
+        # Newton threshold, so the Cholesky test must refuse the step.
+        newton, direction = [], opt._newton_direction
+
+        def recorded(*args):
+            newton.append(direction(*args))
+            return newton[-1]
+
+        monkeypatch.setattr(opt, "_newton_direction", recorded)
+        x0 = cfg.Configuration([[-2 / 3, 0.0], [0.0, 1e-7], [2 / 3, 0.0]])
+        assert np.max(np.linalg.norm(cfg.per_particle_forces(PL21, x0), axis=1)) \
+            <= opt._NEWTON_RESIDUAL
+        res = opt.minimize_local(PL21, x0, opt.OptimOpts(seed=0))
+        assert newton[0] is None
+        assert res.converged
+        assert res.energy == pytest.approx(-1.0 / 6.0, abs=1e-12)
+        for s in pair_distances(res.best):
+            assert s == pytest.approx(1.0, abs=1e-6)
+
+    def test_newton_tail_converges_in_a_few_steps(self):
+        # from the N = 100 Morse iterate at residual 9.4e-7, L-BFGS alone took
+        # 225 more iterations to reach 1e-10, and Newton steps take 3
+        opts = replace(opt.OptimOpts(seed=0).resolved(MORSE), grad_tol=1e-6)
+        x0 = opt._sample_ball(np.random.default_rng([0, 0]), 100, 2, opts.init_radius)
+        near = opt.minimize_local(MORSE, cfg.Configuration(x0), opts)
+        assert near.converged and near.force_residual > 1e-8
+        res = opt.minimize_local(MORSE, near.best, replace(opts, grad_tol=1e-10))
+        assert res.converged and res.iterations_used <= 4
+        assert res.energy <= near.energy
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_descent_properties(self, data):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from pairenergy import configuration as cfg
 from pairenergy import diagnostics as diag
 from pairenergy import measures as mea
+from pairenergy import optimizer as opt
 from pairenergy import pairs
 from pairenergy import potentials as pot
 
@@ -226,3 +227,23 @@ def test_forces_above_the_solver_block_cap_are_refused_before_any_work(monkeypat
     with pytest.raises(cfg.ConfigurationError,
                        match="a trial pair block of 2001 x 2001 cells is above the cap"):
         cfg.per_particle_forces(FAMILIES["morse"](2), X)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_hessian_is_the_jacobian_of_the_forces(family, d):
+    """H v against central differences of the forces along v, at an N = 30
+    local minimum, where the solver takes its Newton steps."""
+    spec, n = FAMILIES[family](d), 30
+    opts = opt.OptimOpts(grad_tol=1e-6).resolved(spec)
+    x0 = opt._sample_ball(np.random.default_rng(d), n, d, opts.init_radius)
+    x = opt.minimize_local(spec, cfg.Configuration(x0), opts).best.points
+    hess = pairs.SelfBlock(x).hessian(spec.radial_derivative, spec.radial_second)
+    assert hess.shape == (n * d, n * d) and np.array_equal(hess, hess.T)
+    h = 1e-6
+    for v in np.random.default_rng(0).normal(size=(3, n, d)):
+        plus, minus = (pairs.SelfBlock(x + t * v).forces(spec.radial_derivative)
+                       for t in (h, -h))
+        hv = hess @ v.ravel()
+        fd = ((plus - minus) / (2 * h)).ravel()
+        assert np.linalg.norm(hv - fd) <= 1e-8 * np.linalg.norm(hv)

@@ -124,7 +124,9 @@ class TestRadialDerivative:
         x = np.asarray(r, dtype=float)
         w = c_r * np.exp(-x / l_r) - c_a * np.exp(-x / l_a)
         dw = (-c_r / l_r) * np.exp(-x / l_r) + (c_a / l_a) * np.exp(-x / l_a)
-        for got, want in ((MORSE_S.radial(r), w), (MORSE_S.radial_derivative(r), dw)):
+        d2w = (c_r / l_r**2) * np.exp(-x / l_r) + (-c_a / l_a**2) * np.exp(-x / l_a)
+        for got, want in ((MORSE_S.radial(r), w), (MORSE_S.radial_derivative(r), dw),
+                          (MORSE_S.radial_second(r), d2w)):
             assert np.array_equal(got, want) and np.shape(got) == np.shape(r)
             assert isinstance(got, np.ndarray) == (np.ndim(r) > 0)
 
@@ -134,6 +136,23 @@ class TestRadialDerivative:
             r = rng.uniform(0.1, 10.0, size=100)
             w1, fd = spec.radial_derivative(r), fd_derivative(spec, r)
             assert np.all(np.abs(w1 - fd) <= 1e-5 * np.maximum(np.abs(fd), 1e-8))
+
+
+class TestRadialSecond:
+    def test_power_law_closed_form(self):
+        # W'' = (a-1) r^(a-2) - (b-1) r^(b-2): 1 for a = 2, b = 1
+        assert np.array_equal(PL21.radial_second(np.array([0.5, 1.0, 3.0])), np.ones(3))
+        # a = 2, b = -1/2: 1 + 1.5 r^-2.5
+        assert float(PL3_SING.radial_second(4.0)) == 1.0 + 1.5 / 32.0
+
+    def test_finite_difference_consistency(self):
+        rng = np.random.default_rng(4)
+        h = 1e-6
+        for spec in (PL21, MORSE_U, MORSE_S, PL3_SING, pot.PowerLaw(1, 3.0, 0.5)):
+            r = rng.uniform(0.1, 10.0, size=100)
+            w2 = spec.radial_second(r)
+            fd = (spec.radial_derivative(r + h) - spec.radial_derivative(r - h)) / (2 * h)
+            assert np.all(np.abs(w2 - fd) <= 1e-5 * np.maximum(np.abs(fd), 1e-8))
 
 
 class TestDerivedConstants:
@@ -308,14 +327,17 @@ def _jacobi_moments(k_max, alpha, beta):
     m_0 = 2^(a+b+1) B(a+1, b+1) comes from math.lgamma.  Integrating the
     derivative of x^k (1-x)^(a+1) (1+x)^(b+1) by parts gives
     (k+a+b+2) m_(k+1) = k m_(k-1) + (b-a) m_k, whose two terms have the same
-    sign, so every moment keeps the relative accuracy of m_0.
+    sign, so every moment keeps the relative accuracy of m_0.  a+b+2 is
+    formed as (a+1) + (b+1), so it keeps its relative accuracy with both
+    parameters near -1.
     """
-    ab = alpha + beta
-    m = [math.exp((ab + 1) * math.log(2.0) + math.lgamma(alpha + 1)
-                  + math.lgamma(beta + 1) - math.lgamma(ab + 2))]
-    m.append(m[0] * (beta - alpha) / (ab + 2))
+    a1, b1 = alpha + 1, beta + 1
+    ab2 = a1 + b1
+    m = [math.exp((ab2 - 1) * math.log(2.0) + math.lgamma(a1) + math.lgamma(b1)
+                  - math.lgamma(ab2))]
+    m.append(m[0] * (beta - alpha) / ab2)
     for k in range(1, k_max):
-        m.append((k * m[k - 1] + (beta - alpha) * m[k]) / (k + ab + 2))
+        m.append((k * m[k - 1] + (beta - alpha) * m[k]) / (k + ab2))
     return m
 
 
@@ -343,6 +365,9 @@ class TestGaussJacobi:
                             .map(lambda a: (a, -1.0 - a))))
     @example(n=16, params=(-0.5, -0.5))   # the Chebyshev closed form
     @example(n=8, params=(0.0, 7.0))      # the radial rule in d = 8
+    # both parameters near -1, where alpha + beta + 2 must keep its relative accuracy
+    @example(n=19, params=(-0.99609375, -0.99999))
+    @example(n=19, params=(-0.99999, -0.999995))
     def test_exact_to_degree_2n_minus_1(self, n, params):
         # |Q(x^k) - m_k| within 1e-12 of Q(|x|^k), which is Q(x^k) for even k
         alpha, beta = params
