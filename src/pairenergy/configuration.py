@@ -137,14 +137,16 @@ def per_particle_forces(spec: PotentialSpec, X: Configuration) -> np.ndarray:
 
 
 def diameter(X: Configuration) -> float:
-    """Maximum pairwise Euclidean distance (0 for a single point)."""
-    return max(float(r.max()) for _, r in pairs.blocks(X.points))
+    """Maximum pairwise Euclidean distance (0 for a single point); N > 7812
+    (pairs.check_rows) raises ConfigurationError before any work."""
+    return max(float(r.max()) for _, r in pairs.blocks(X.points, ConfigurationError))
 
 
 def min_pair_distance(X: Configuration) -> float:
-    """Smallest distance between two distinct particles (inf for N = 1)."""
+    """Smallest distance between two distinct particles (inf for N = 1); N >
+    7812 (pairs.check_rows) raises ConfigurationError before any work."""
     rmin = np.inf
-    for i0, r in pairs.blocks(X.points):
+    for i0, r in pairs.blocks(X.points, ConfigurationError):
         np.fill_diagonal(r[:, i0:], np.inf)   # the self pairs
         rmin = min(rmin, float(r.min()))
     return rmin

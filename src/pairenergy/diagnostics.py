@@ -41,7 +41,8 @@ def empirical_morrey_seminorm(X: Configuration, exponent: float) -> MorreySemino
     of row i (from k = 0) gets the count k + 1, which is exact at the last of
     tied distances and smaller before it, so the row maximum is the exact
     one.  Coincident points make the supremum infinite.  An exponent that is
-    not a positive finite number raises ConfigurationError.
+    not a positive finite number, or N > 7812 (pairs.check_rows), raises
+    ConfigurationError before any work.
     """
     exponent = real(exponent, "exponent", ConfigurationError, above=0.0)
     n = X.n
@@ -49,7 +50,7 @@ def empirical_morrey_seminorm(X: Configuration, exponent: float) -> MorreySemino
         return MorreySeminorm(0.0, 0, math.nan, single_point=True)
     counts = np.arange(1, n + 1) / n
     best, bi, br = -math.inf, 0, math.nan
-    for i0, r in blocks(X.points):
+    for i0, r in blocks(X.points, ConfigurationError):
         # the self pair sorts last, where inf^{-exponent} = 0 never wins
         np.fill_diagonal(r[:, i0:], np.inf)
         r.sort(axis=1)

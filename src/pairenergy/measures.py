@@ -260,6 +260,8 @@ def continuum_energy_atoms(spec: PotentialSpec, mu: AtomicMeasure) -> float:
     """E(mu) = (1/2) sum_ij w_i w_j W(x_i - x_j), self-pairs included.
 
     +inf whenever W is singular at the origin (atoms carry self-energy).
+    Unequal weights on more than 7812 atoms (pairs.check_rows) raise
+    MeasureError before any work.
     """
     if spec.dimension != mu.dim:
         raise PotentialError("dimension mismatch between potential and measure")
@@ -272,7 +274,7 @@ def continuum_energy_atoms(spec: PotentialSpec, mu: AtomicMeasure) -> float:
         # equal-weight case: exactly the discrete energy plus the self term
         return discrete_energy(spec, Configuration(mu.points)) + w0 / (2.0 * n)
     total = 0.0
-    for i0, r in pairs.blocks(mu.points):
+    for i0, r in pairs.blocks(mu.points, MeasureError):
         total += float(w[i0:i0 + len(r)] @ spec.radial(r) @ w)
     return 0.5 * total
 

@@ -2,11 +2,12 @@
 
 Local search takes L-BFGS directions (the two-loop recursion of Liu & Nocedal
 1989) with monotone Armijo backtracking and a pair-collision guard.  Once the
-force residual is at most 1e-6, and N d <= 2000 (the dense Hessian within
-checks.MAX_CELLS), it takes Newton steps from the exact Hessian, shifted along
-the rigid motions; where that Hessian is not positive definite (as near a
-saddle) the step stays L-BFGS.  Global search wraps
-local search in seeded multistart plus basin-hopping kicks.  The stopping
+force residual is at most 1e-4, and N d <= 2000 (the dense Hessian within
+checks.MAX_CELLS), it takes Newton steps from the exact Hessian, shifted
+along the rigid motions and, where that is not positive definite (as near a
+saddle), by a multiple of the identity (Nocedal & Wright 2006, Algorithm
+3.3); a Hessian that is not finite leaves the step L-BFGS.  Global search
+wraps local search in seeded multistart plus basin-hopping kicks.  The stopping
 rule uses the per-particle force scale F_i = (1/N) sum_j grad W(x_i - x_j) so
 tolerances are N-independent.
 
@@ -31,9 +32,12 @@ from .configuration import (Configuration, ConfigurationError, check_pair_sum,
 from .potentials import PotentialSpec
 
 _ARMIJO_C = 1e-4
-# Newton steps below this force residual: at 1e-4 or 1e-5 iterates still had
-# negative curvature, and Newton steps jumped to other minima
-_NEWTON_RESIDUAL = 1e-6
+# Newton steps below this force residual.  Iterates there can still have
+# negative curvature, which the shift of _newton_direction absorbs; at 1e-5 one
+# start of the N = 100 Morse sweep reached another minimum than L-BFGS did,
+# at 1e-4 none did
+_NEWTON_RESIDUAL = 1e-4
+_SOLVE_ROWS = 64        # rows per diagonal block of _triangular_solve
 _SHRINK = 0.5
 _STEP_MIN = 1e-12
 _MEMORY = 10            # curvature pairs kept by L-BFGS
@@ -125,11 +129,35 @@ def _lbfgs_direction(grad: np.ndarray, memory, scale: float) -> np.ndarray:
     return -q.reshape(grad.shape)
 
 
+def _triangular_solve(t: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """t^-1 b for a triangular t, lower or upper, by blocks of _SOLVE_ROWS rows:
+    np.linalg.solve takes each diagonal block, and one matvec moves its part of
+    the solution out of the rows still to solve."""
+    m = len(b)
+    z = np.array(b, dtype=float)
+    starts = range(0, m, _SOLVE_ROWS)
+    for i0 in starts if lower else reversed(starts):
+        rows = slice(i0, min(i0 + _SOLVE_ROWS, m))
+        z[rows] = np.linalg.solve(t[rows, rows], z[rows])
+        rest = slice(rows.stop, m) if lower else slice(0, i0)
+        z[rest] -= t[rest, rows] @ z[rows]
+    return z
+
+
 def _newton_direction(block: pairs.SelfBlock, x: np.ndarray, grad: np.ndarray,
-                      spec: PotentialSpec) -> np.ndarray | None:
-    """-H^-1 grad for the Hessian H of N E_N at x, whose pair block is
-    `block`, with max(diag H) added along each rigid motion; None when that
-    shifted H is not positive definite.
+                      spec: PotentialSpec, tau: float) -> tuple[np.ndarray | None, float]:
+    """(-(A + tau I)^-1 grad, tau), where A is the Hessian H of N E_N at x,
+    whose pair block is `block`, with max(diag H) added along each rigid
+    motion; (None, tau) when H is not finite or has no positive diagonal entry.
+
+    tau is the shift of Nocedal & Wright's Algorithm 3.3, with beta = 1e-3
+    max(diag H): it starts at max(tau0, tau_prev / 2), where tau0 is 0 when
+    min diag H > 0 and beta - min diag H otherwise, and tau_prev, the `tau`
+    passed in, is the shift the solve's previous Newton step needed; while the
+    Cholesky factorisation of A + tau I fails, tau becomes max(2 tau, beta).
+    As A - H is positive semidefinite, the loop ends at the latest once tau
+    exceeds H's Gershgorin bound.  The step is two triangular solves with the
+    Cholesky factor.
 
     The rigid motions, orthonormal, are the translations e_k / sqrt(N) and the
     rotations about the centroid in each coordinate plane, Gram-Schmidt'd.
@@ -137,7 +165,12 @@ def _newton_direction(block: pairs.SelfBlock, x: np.ndarray, grad: np.ndarray,
     n, d = x.shape
     h = block.hessian(spec.radial_derivative, spec.radial_second)
     h /= n
-    shift = float(h.diagonal().max())
+    shift, low = float(h.diagonal().max()), float(h.diagonal().min())
+    # np.linalg.cholesky returns NaNs for a non-finite H instead of raising;
+    # without a positive diagonal entry (as for a far pair in d = 1) neither
+    # the rigid motions nor beta have a positive scale
+    if not (shift > 0.0 and np.isfinite(h).all()):
+        return None, tau
     for k in range(d):
         h[k::d, k::d] += shift / n
     centred = x - x.mean(axis=0)
@@ -157,11 +190,20 @@ def _newton_direction(block: pairs.SelfBlock, x: np.ndarray, grad: np.ndarray,
                 rotations.append(q / norm)
     for q in rotations:
         h += np.outer(shift * q, q)
-    try:
-        np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        return None
-    return -np.linalg.solve(h, grad.ravel()).reshape(n, d)
+    beta = 1e-3 * shift
+    tau = max(0.0 if low > 0.0 else beta - low, tau / 2)
+    diagonal = h.reshape(-1)[::n * d + 1]   # a view: tau is added in place
+    added = 0.0
+    while True:
+        diagonal += tau - added
+        added = tau
+        try:
+            factor = np.linalg.cholesky(h)
+            break
+        except np.linalg.LinAlgError:
+            tau = max(2.0 * tau, beta)
+    z = _triangular_solve(factor, grad.ravel(), lower=True)
+    return -_triangular_solve(factor.T, z, lower=False).reshape(n, d), tau
 
 
 def minimize_local(spec: PotentialSpec, X0: Configuration,
@@ -178,11 +220,13 @@ def minimize_local(spec: PotentialSpec, X0: Configuration,
     N > 2000 (pairs.check_square, the N x N block) raises ConfigurationError.
 
     Each iteration takes the L-BFGS direction, except that once the force
-    residual is at most 1e-6 and N d <= 2000 it tries the Newton direction
-    of _newton_direction first: when the Cholesky factorisation finds the
-    rigid-motion-shifted Hessian not positive definite, the iteration takes
-    the L-BFGS direction.  Either step is backtracked by the same Armijo and
-    collision rules, counts as one iteration, and feeds the L-BFGS memory.
+    residual is at most 1e-4 and N d <= 2000 it takes the Newton direction of
+    _newton_direction: the Hessian, shifted along the rigid motions and by
+    tau I until its Cholesky factorisation succeeds, where tau starts from
+    half the previous Newton step's shift of this solve.  A Hessian with a
+    NaN or an infinity leaves the iteration the L-BFGS direction.  Either
+    step is backtracked by the same Armijo and collision rules, counts as one
+    iteration, and feeds the L-BFGS memory.
     """
     opts = opts.resolved(spec)
     check_pair_sum(spec, X0, "minimisation")
@@ -205,13 +249,15 @@ def minimize_local(spec: PotentialSpec, X0: Configuration,
     iters = 0
     stop = "converged"
     memory = deque(maxlen=_MEMORY)
+    tau = 0.0   # the last Newton step's shift: a local, so alike on any thread
     while not residual <= opts.grad_tol:
         if iters == opts.max_iters:
             stop = "max_iters"
             break
         iters += 1
-        d = _newton_direction(block, x, grad, spec) \
-            if newton and residual <= _NEWTON_RESIDUAL else None
+        d = None
+        if newton and residual <= _NEWTON_RESIDUAL:
+            d, tau = _newton_direction(block, x, grad, spec, tau)
         if d is None:
             d = _lbfgs_direction(grad, memory, 1.0 / max(1.0, residual))
         slope = float(grad.ravel() @ d.ravel())

@@ -12,7 +12,8 @@ or the environment, so results are bitwise reproducible for a given input:
   for the energy, the per-particle potentials and the stationarity sums.  At
   N <= 512 (one tile) each sum is bitwise the row sum of the full kernel
   matrix with its diagonal zeroed; above, a sum of tile sums.
-- `blocks`: 512 rows against all points (capped by `check_rows`), for per-row
+- `blocks`: 512 rows against all points (capped by `check_rows`, which it
+  calls before its first block), for per-row
   order statistics: Morrey, diameter, minimum distance, atomic energy.
 - `SelfBlock`: one N x N block (capped by `check_square`), for the solver's
   trial energies, the forces and the solver's dense Hessian.
@@ -51,8 +52,10 @@ def check_square(n: int, error: type[Exception]):
     cells(n * n, f"a trial pair block of {n} x {n} cells", error)
 
 
-def blocks(x: np.ndarray):
-    """Yield (i0, distances(x[i0:i0 + _ROWS], x)) over the row blocks of x."""
+def blocks(x: np.ndarray, error: type[Exception]):
+    """Yield (i0, distances(x[i0:i0 + _ROWS], x)) over the row blocks of x,
+    after check_rows(len(x), error) refuses a block above the cap."""
+    check_rows(len(x), error)
     for i0 in range(0, len(x), _ROWS):
         yield i0, distances(x[i0:i0 + _ROWS], x)
 

@@ -4,11 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pairenergy import configuration as cfg
 from pairenergy import optimizer as opt
+from pairenergy import pairs
 from pairenergy import potentials as pot
 
 PL21 = pot.PowerLaw(2, 2.0, 1.0)
@@ -64,6 +65,108 @@ def test_lbfgs_direction_is_dense_inverse_bfgs(m):
     want = -h @ g
     got = opt._lbfgs_direction(g, memory, scale)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200, 801])
+def test_triangular_solve_matches_dense_solve(n, lower):
+    # the Cholesky factor of a random SPD matrix, across the 64-row block edges
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n))
+    factor = np.linalg.cholesky(a @ a.T + n * np.eye(n))
+    t = factor if lower else factor.T
+    b = rng.normal(size=n)
+    want = np.linalg.solve(t, b)
+    got = opt._triangular_solve(t, b, lower)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    assert np.linalg.norm(t @ got - b) <= 1e-13 * np.linalg.norm(b)
+
+
+# three collinear points at spacing 2/3 are a saddle of W = r^2/2 - r:
+# W'(2/3) + W'(4/3) = 0, and moving the middle point off the line has curvature
+# 2 W'(2/3) / (2/3) = -1; the middle point sits 1e-7 off the line
+SADDLE = np.array([[-2 / 3, 0.0], [0.0, 1e-7], [2 / 3, 0.0]])
+
+
+def newton_at(spec, x, tau=0.0):
+    block = pairs.SelfBlock(x)
+    grad = block.forces(spec.radial_derivative) / len(x)
+    return grad, opt._newton_direction(block, x, grad, spec, tau)
+
+
+def test_newton_shift_stays_within_the_gershgorin_bound(monkeypatch):
+    # every Cholesky try factorises the one shifted Hessian, raised in place
+    tries, cholesky = [], np.linalg.cholesky
+
+    def recorded(a):
+        tries.append((a, a.copy()))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recorded)
+    grad, (p, tau) = newton_at(PL21, SADDLE)
+    assert len(tries) > 1 and all(a is tries[0][0] for a, _ in tries)
+    h = tries[-1][1] - tau * np.eye(6)
+    off = np.abs(h).sum(axis=1) - np.abs(h.diagonal())
+    beta = 1e-3 * float(pairs.SelfBlock(SADDLE).hessian(
+        PL21.radial_derivative, PL21.radial_second).diagonal().max() / 3)
+    assert 0.5 < tau <= float(np.max(off - h.diagonal())) + beta
+    assert np.all(np.diff([np.trace(m) for _, m in tries]) > 0)
+    assert float(grad.ravel() @ p.ravel()) < 0
+
+
+def test_newton_shift_starts_from_tau0_or_half_the_previous_shift(monkeypatch):
+    h = pairs.SelfBlock(SADDLE).hessian(PL21.radial_derivative, PL21.radial_second) / 3
+    beta, low = 1e-3 * float(h.diagonal().max()), float(h.diagonal().min())
+    assert low < 0
+    # from tau0 = beta - min diag H, each failed try doubles the shift
+    tau = newton_at(PL21, SADDLE)[1][1]
+    k = round(math.log2(tau / (beta - low)))
+    assert k >= 0 and tau == pytest.approx((beta - low) * 2.0 ** k, rel=1e-12)
+    # half a large previous shift factorises at the first try
+    tries, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: tries.append(a) or cholesky(a))
+    assert newton_at(PL21, SADDLE, 8.0)[1][1] == 4.0 and len(tries) == 1
+
+
+def test_newton_direction_refuses_a_hessian_without_positive_diagonal():
+    # a far Morse pair in d = 1 has W'' < 0 on the whole diagonal
+    far = pot.Morse(1, 1.0, 0.5, 1.0, 1.0)
+    grad, (p, tau) = newton_at(far, np.array([[0.0], [15.0]]), 0.25)
+    assert np.max(np.abs(grad)) <= opt._NEWTON_RESIDUAL
+    assert p is None and tau == 0.25
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_newton_direction_refuses_a_hessian_that_is_not_finite(monkeypatch, bad):
+    # W'' (1 for W = r^2/2 - r) is bad beyond r = 1, which at the start only
+    # the first and last point reach, with no zero difference: an infinite W''
+    # leaves diag H +inf rather than NaN
+    x = np.array([[0.0, 0.0], [0.5, 0.3], [1.1, 0.7]])
+    monkeypatch.setattr(pot.PowerLaw, "radial_second",
+                        lambda self, r: np.where(r > 1.0, bad, 1.0))
+    assert newton_at(PL21, x, 0.25)[1] == (None, 0.25)
+    # the solve goes on with L-BFGS directions where a pair is beyond r = 1
+    # (where an infinite W'' meets one of the other sign, its sum is NaN)
+    with np.errstate(invalid="ignore"):
+        res = opt.minimize_local(PL21, cfg.Configuration(x), opt.OptimOpts(seed=0))
+    assert res.converged and res.energy == pytest.approx(-1.0 / 6.0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_newton_direction_descends(data):
+    d = data.draw(st.integers(1, 3), label="d")
+    spec = data.draw(st.sampled_from([pot.PowerLaw(d, 2.0, 1.0),
+                                      pot.Morse(d, 1.0, 0.5, 1.0, 1.0)]), label="spec")
+    n = data.draw(st.integers(2, 12), label="N")
+    # distinct coordinates on a 0.01 grid: no two points closer than 0.01
+    coords = data.draw(st.lists(st.integers(-300, 300), min_size=n * d,
+                                max_size=n * d, unique=True), label="coords")
+    tau = data.draw(st.sampled_from([0.0, 1e-6, 1.0]), label="tau_prev")
+    x = np.reshape(coords, (n, d)) / 100.0
+    grad, (p, _) = newton_at(spec, x, tau)
+    assume(np.any(grad != 0.0) and p is not None)
+    assert float(grad.ravel() @ p.ravel()) < 0
 
 
 class TestMinimizeLocal:
@@ -167,10 +270,8 @@ class TestMinimizeLocal:
             assert opt.minimize_local(MORSE, cfg.Configuration(x0), opts).converged, k
 
     def test_leaves_a_saddle(self, monkeypatch):
-        # three collinear points at spacing 2/3 are a saddle of W = r^2/2 - r:
-        # W'(2/3) + W'(4/3) = 0, and moving the middle point off the line has
-        # curvature 2 W'(2/3) / (2/3) = -1.  The start's residual is below the
-        # Newton threshold, so the Cholesky test must refuse the step.
+        # the start's residual is below the Newton threshold, and the shifted
+        # Newton step moves the middle point further off the line
         newton, direction = [], opt._newton_direction
 
         def recorded(*args):
@@ -178,15 +279,28 @@ class TestMinimizeLocal:
             return newton[-1]
 
         monkeypatch.setattr(opt, "_newton_direction", recorded)
-        x0 = cfg.Configuration([[-2 / 3, 0.0], [0.0, 1e-7], [2 / 3, 0.0]])
+        x0 = cfg.Configuration(SADDLE)
         assert np.max(np.linalg.norm(cfg.per_particle_forces(PL21, x0), axis=1)) \
             <= opt._NEWTON_RESIDUAL
         res = opt.minimize_local(PL21, x0, opt.OptimOpts(seed=0))
-        assert newton[0] is None
+        assert newton[0][0][1, 1] > 0
         assert res.converged
         assert res.energy == pytest.approx(-1.0 / 6.0, abs=1e-12)
         for s in pair_distances(res.best):
             assert s == pytest.approx(1.0, abs=1e-6)
+
+    def test_morse_sweep_starts_reach_their_minima_quickly(self):
+        # the four seed-0 starts of minimize_multistart at N = 100 (the sweep
+        # benchmark's), which took 175, 246, 377 and 198 iterations with Newton
+        # steps only below residual 1e-6 and no shift; the energies are theirs
+        energies = (-0.11046472668757124, -0.11046449751102841,
+                    -0.11046480477507731, -0.11046472668757124)
+        opts = opt.OptimOpts(seed=0).resolved(MORSE)
+        for k, energy in enumerate(energies):
+            x0 = opt._sample_ball(np.random.default_rng([0, k]), 100, 2, opts.init_radius)
+            res = opt.minimize_local(MORSE, cfg.Configuration(x0), opts)
+            assert res.converged and res.iterations_used <= 120, k
+            assert res.energy == pytest.approx(energy, rel=1e-9), k
 
     def test_newton_tail_converges_in_a_few_steps(self):
         # from the N = 100 Morse iterate at residual 9.4e-7, L-BFGS alone took

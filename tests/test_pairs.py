@@ -229,6 +229,33 @@ def test_forces_above_the_solver_block_cap_are_refused_before_any_work(monkeypat
         cfg.per_particle_forces(FAMILIES["morse"](2), X)
 
 
+def _unequal_atoms(points):
+    w = np.arange(1.0, len(points) + 1.0)
+    return mea.AtomicMeasure(points, w / w.sum())
+
+
+ROW_WALKS = {
+    "diameter": (cfg.ConfigurationError, lambda x: cfg.diameter(cfg.Configuration(x))),
+    "min_pair_distance": (cfg.ConfigurationError,
+                          lambda x: cfg.min_pair_distance(cfg.Configuration(x))),
+    "morrey": (cfg.ConfigurationError,
+               lambda x: diag.empirical_morrey_seminorm(cfg.Configuration(x), 1.0)),
+    "atomic_energy": (mea.MeasureError, lambda x: mea.continuum_energy_atoms(
+        FAMILIES["morse"](2), _unequal_atoms(x))),
+}
+
+
+@pytest.mark.parametrize("walk", sorted(ROW_WALKS))
+def test_row_walks_above_the_row_block_cap_are_refused_before_any_work(monkeypatch, walk):
+    def never(*args, **kwargs):
+        raise AssertionError("a pair block was built")
+    error, call = ROW_WALKS[walk]
+    x = spread_points(7813, 2, 15)
+    monkeypatch.setattr(pairs, "distances", never)
+    with pytest.raises(error, match="a pair block of 512 x 7813 cells is above the cap"):
+        call(x)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_hessian_is_the_jacobian_of_the_forces(family, d):
