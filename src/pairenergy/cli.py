@@ -2,8 +2,8 @@
 
 Subcommands: classify | minimize | sweep | recover | analyze.
 Config files in (JSON, schema-validated, unknown keys rejected), reproducible
-artifacts out (JSON results, CSV tables with 17-significant-digit numeric
-fields, self-contained SVG figures).
+artifacts out (JSON results, null for a non-finite number, CSV tables with
+17-significant-digit numeric fields, self-contained SVG figures).
 
 `main` does what every command shares: it checks the config's top-level keys
 against `_COMMANDS`, parses the potential and the seed, runs the command and
@@ -111,6 +111,13 @@ def _fmt_num(v) -> str:
     return f"{float(v):.17g}"
 
 
+def _write_json(path, obj, sort_keys=False):
+    """Write obj as indented RFC 8259 JSON: NaN and +-Infinity become null."""
+    obj = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+    with open(path, "w") as fh:
+        json.dump(obj, fh, allow_nan=False, indent=2, sort_keys=sort_keys)
+
+
 def _write_csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -148,8 +155,7 @@ def cmd_classify(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
             "margin": cert.margin,
         }
     phases["classify"] = time.perf_counter() - t0
-    with open(out_dir / "classify.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
+    _write_json(out_dir / "classify.json", payload)
     return {"class": payload["class"]}
 
 
@@ -161,14 +167,12 @@ def cmd_minimize(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
     t0 = time.perf_counter()
     result = minimize_multistart(spec, cfg["N"], opts, workers=workers)
     phases["minimize"] = time.perf_counter() - t0
-    with open(out_dir / "minimize.json", "w") as fh:
-        json.dump(result.to_json(), fh, indent=2)
+    _write_json(out_dir / "minimize.json", result.to_json())
 
     t0 = time.perf_counter()
     report = diag.build_report(spec, result.best, **diag_opts)
     phases["diagnostics"] = time.perf_counter() - t0
-    with open(out_dir / "diagnostics.json", "w") as fh:
-        json.dump(report.to_json(), fh, indent=2)
+    _write_json(out_dir / "diagnostics.json", report.to_json())
     return {"energy": result.energy, "converged": result.converged,
             "stop_reason": result.stop_reason}
 
@@ -251,8 +255,7 @@ def cmd_analyze(spec, cfg: dict, out_dir: Path, seed: int, workers: int,
     t0 = time.perf_counter()
     report = diag.build_report(spec, X, **diag_opts)
     phases["analyze"] = time.perf_counter() - t0
-    with open(out_dir / "analysis.json", "w") as fh:
-        json.dump(report.to_json(), fh, indent=2)
+    _write_json(out_dir / "analysis.json", report.to_json())
     # one sweep-schema row so analyze outputs aggregate with sweep tables
     _write_csv(out_dir / "analysis.csv", _SWEEP_HEADER,
                [(report.N, report.energy, report.diameter, report.morrey_seminorm,
@@ -302,13 +305,11 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         phases = {}
         results = command(spec, cfg, out_dir, seed, args.workers, phases)
-        with open(out_dir / "config.json", "w") as fh:
-            json.dump(cfg, fh, indent=2, sort_keys=True)
+        _write_json(out_dir / "config.json", cfg, sort_keys=True)
         record = {"tool_version": __version__, "config_hash": _config_hash(cfg),
                   "seed": seed, "workers": args.workers, "phase_wall_times": phases,
                   "results": results}
-        with open(out_dir / "run_record.json", "w") as fh:
-            json.dump(record, fh, indent=2)
+        _write_json(out_dir / "run_record.json", record)
         if results.get("converged") is False:
             raise NumericFailure("a descent did not reach the force tolerance")
         return EXIT_OK

@@ -224,6 +224,22 @@ def density_to_atoms(rho: GridDensity) -> AtomicMeasure:
     return AtomicMeasure(c[keep], rho.masses[keep])
 
 
+def _cell_masses(rho: GridDensity, g2: int) -> np.ndarray:
+    """The masses, in C order, that rho gives the g2^d equal cells of its box,
+    for any integer g2 >= 1, by exact interval overlaps axis by axis."""
+    g, d = rho.resolution, rho.dim
+    # per-axis overlap fractions: frac[K, k] = |old cell k ∩ new cell K| / |old cell k|
+    edges_old = np.arange(g + 1) / g
+    edges_new = np.arange(g2 + 1) / g2
+    frac = np.maximum(np.minimum(edges_old[1:], edges_new[1:, None])
+                      - np.maximum(edges_old[:-1], edges_new[:-1, None]), 0.0) * g
+    m = rho.masses.reshape((g,) * d)
+    for axis in range(d):
+        m = np.tensordot(frac, m, axes=([1], [axis]))
+        m = np.moveaxis(m, 0, axis)
+    return m.reshape(-1)
+
+
 def regrid(rho: GridDensity, multiple_of: int) -> GridDensity:
     """Re-express rho at the smallest per-side resolution that is a multiple
     of `multiple_of`, an integer >= 1 (else MeasureError), by conservative
@@ -234,18 +250,8 @@ def regrid(rho: GridDensity, multiple_of: int) -> GridDensity:
     g2 = ((g + mult - 1) // mult) * mult
     if g2 == g:
         return rho
-    d = rho.dim
-    cells(g2 ** d, f"a grid of {g2}^{d} cells", MeasureError)
-    # per-axis overlap fractions: frac[K, k] = |old cell k ∩ new cell K| / |old cell k|
-    edges_old = np.arange(g + 1) / g
-    edges_new = np.arange(g2 + 1) / g2
-    frac = np.maximum(np.minimum(edges_old[1:], edges_new[1:, None])
-                      - np.maximum(edges_old[:-1], edges_new[:-1, None]), 0.0) * g
-    m = rho.masses.reshape((g,) * d)
-    for axis in range(d):
-        m = np.tensordot(frac, m, axes=([1], [axis]))
-        m = np.moveaxis(m, 0, axis)
-    m = m.reshape(-1)
+    cells(g2 ** rho.dim, f"a grid of {g2}^{rho.dim} cells", MeasureError)
+    m = _cell_masses(rho, g2)
     total = m.sum()
     if abs(total - 1.0) > 1e-9:
         raise MeasureError("regrid lost mass; box/overlap mismatch")
@@ -296,18 +302,19 @@ def continuum_energy_grid(spec: PotentialSpec, rho: GridDensity,
     in units of u, the deepest half-subcell, and (t, ..., t) in those units
     spans 2 diagonals of the current (sub)cell; v is near when
     sum_i v_i^2 u_i^2 <= t^2 sum_i u_i^2 (1 + _NEAR_SLACK), so ties count as
-    near on every grid, whatever the last bits of the cell widths.  A grid
-    below 4 cells per side, a refine_levels not an integer >= 1, or a level
-    of more than checks.MAX_CELLS difference vectors raises MeasureError.
+    near on every grid, whatever the last bits of the cell widths.  Any g >= 1
+    works.  A refine_levels not an integer in [1, 30], or a (2g - 1)^d offset
+    table or a level of vectors above checks.MAX_CELLS, raises MeasureError.
     """
     if spec.dimension != rho.dim:
         raise PotentialError("dimension mismatch between potential and density")
-    if rho.resolution < 4:
-        raise MeasureError("grid too coarse for near-diagonal refinement (need g >= 4)")
     levels = integer(refine_levels, "refine_levels", MeasureError)
+    if levels > 30:     # under the cell cap, g 2^(levels+1) < 2^53 stays exact
+        raise MeasureError("refine_levels must be an integer in [1, 30]")
 
     d, g = rho.dim, rho.resolution
     shape, axes = (2 * g - 1,) * d, tuple(range(d))
+    cells((2 * g - 1) ** d, f"an offset table of {2 * g - 1}^{d} cells", MeasureError)
     f = np.fft.rfftn(rho.masses.reshape((g,) * d), s=shape, axes=axes)
     acorr = np.fft.fftshift(np.fft.irfftn(f * f.conj(), s=shape, axes=axes), axes=axes)
     weight = acorr.reshape(-1)

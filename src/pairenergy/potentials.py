@@ -385,10 +385,10 @@ def numeric_instability_scan(spec: PotentialSpec, scales,
     t in `scales`, carried on a grid of `resolution` cells per side (default
     by dimension) and integrated by continuum_energy_grid with its default
     refinement.  The margin is `tolerance` plus the change in energy at the
-    best scale when the grid is halved.  A False result is a non-certificate,
-    not a stability proof.  `scales` must be a nonempty list or array of
-    positive finite numbers, `resolution` None or an integer >= 4 (the grid
-    energy's smallest grid) and `tolerance` positive finite, else PotentialError.
+    best scale on the halved grid of `resolution // 2` cells per side.  A False
+    result is a non-certificate, not a stability proof.  `scales` must be a
+    nonempty list or array of positive finite numbers, `resolution` None or an
+    integer >= 2 and `tolerance` positive finite, else PotentialError.
     """
     from . import measures
 
@@ -400,7 +400,7 @@ def numeric_instability_scan(spec: PotentialSpec, scales,
     d = spec.dimension
     if resolution is None:
         resolution = {1: 256, 2: 40, 3: 16}.get(d, 8)
-    resolution = integer(resolution, "resolution", PotentialError, minimum=4)
+    resolution = integer(resolution, "resolution", PotentialError, minimum=2)
 
     energies = []
     for t in scales:
@@ -415,7 +415,7 @@ def numeric_instability_scan(spec: PotentialSpec, scales,
         return InstabilityCertificate(found, best_scale, best_energy,
                                       math.inf, tolerance, tuple(energies))
 
-    rho = measures.uniform_ball(d, best_scale, max(4, resolution // 2))
+    rho = measures.uniform_ball(d, best_scale, resolution // 2)
     coarse = measures.continuum_energy_grid(spec, rho)
     margin = tolerance + abs(best_energy - coarse)
     threshold = 0.5 * spec.W_inf - margin

@@ -69,10 +69,10 @@ def _box_halfwidth(rho: GridDensity) -> float:
 def build_recovery(rho: GridDensity, N: int) -> RecoveryResult:
     """Construct the N-particle recovery configuration for rho.
 
-    rho's per-side resolution must be an integer multiple of
-    n = floor(N^(1/(4d))) so cube masses are exact sums of grid cells;
-    recovery_convergence_report regrids rho to such a resolution itself.
-    An N that is not an integer >= 2 raises RecoveryError.
+    rho is taken at any resolution: the mass of each of the n^d cubes,
+    n = floor(N^(1/(4d))), is what rho's cells give it by exact interval
+    overlaps, the rule of measures.regrid.  An N that is not an integer >= 2
+    raises RecoveryError.
     """
     N = integer(N, "N", RecoveryError, minimum=2)
     d = rho.dim
@@ -80,21 +80,8 @@ def build_recovery(rho: GridDensity, N: int) -> RecoveryResult:
     if L < 1.0:
         raise RecoveryError("L must be >= 1")
     n = _cube_count(N, d)
-    g = rho.resolution
-    if g % n != 0:
-        raise RecoveryError(
-            f"grid resolution {g} is not a multiple of n = {n}; regrid first")
-
-    # exact cube masses: sum aligned blocks of grid cells
-    block = g // n
-    m = rho.masses.reshape((g,) * d)
-    for axis in range(d):
-        shape = list(m.shape)
-        shape[axis:axis + 1] = [n, block]
-        m = m.reshape(shape).sum(axis=axis + 1)
-    cube_mass = m.reshape(-1)  # lexicographic cube order
-
-    t = float(n ** (4 * d)) * cube_mass
+    # n^(4d) times the cube masses, cubes in lexicographic order
+    t = float(n ** (4 * d)) * measures._cell_masses(rho, n)
     counts = np.floor(t + 1e-12 * np.maximum(1.0, t)).astype(int).tolist()
     N_p = sum(counts)
     if N_p > N:
@@ -148,27 +135,27 @@ def recovery_convergence_report(spec: PotentialSpec, rho: GridDensity,
     """Build the recovery configuration for each N and compare energies and
     the transport distance to rho; rows ordered by N.
 
-    For each N, rho is first regridded (measures.regrid) to the smallest
-    resolution that is a multiple of n = floor(N^(1/(4d))), which is its own
-    when that already is one; E(rho) and the atoms of rho are taken on that
-    grid.  An N_list that is not a nonempty list or tuple of distinct
+    rho is taken at its own resolution for every N: each row's E(rho) is
+    continuum_energy_grid of rho and its W1 is to the atoms of rho's nonempty
+    cells.  An N_list that is not a nonempty list or tuple of distinct
     integers >= 2 raises RecoveryError.  Before any N is built, each N is
     checked against checks.MAX_CELLS: in d >= 2 the W1 cost matrix against
-    its grid's nonempty cells (measures.check_transport_size, MeasureError),
-    then the pair row block (pairs.check_rows, RecoveryError if N > 7812).
+    rho's nonempty cells (measures.check_transport_size, MeasureError), then
+    the pair row block (pairs.check_rows, RecoveryError if N > 7812).
     """
-    ns = n_list(N_list, RecoveryError)
-    grids = {N: measures.regrid(rho, _cube_count(N, rho.dim)) for N in sorted(ns)}
-    for N, grid in grids.items():
+    ns = sorted(n_list(N_list, RecoveryError))
+    atoms = density_to_atoms(rho)
+    for N in ns:
         if rho.dim >= 2:
-            measures.check_transport_size(N, int(np.count_nonzero(grid.masses > 0)))
+            measures.check_transport_size(N, atoms.n_atoms)
         pairs.check_rows(N, RecoveryError)
     rows = []
-    for N, grid in grids.items():
-        e_rho = continuum_energy_grid(spec, grid, refine_levels=refine_levels)
-        rec = build_recovery(grid, N)
+    for N in ns:
+        # once per row: perfbench's recover smoke test counts a grid energy per row
+        e_rho = continuum_energy_grid(spec, rho, refine_levels=refine_levels)
+        rec = build_recovery(rho, N)
         e_n = discrete_energy(spec, rec.config)
-        w1 = wasserstein1(AtomicMeasure.empirical(rec.config), density_to_atoms(grid))
+        w1 = wasserstein1(AtomicMeasure.empirical(rec.config), atoms)
         rows.append(RecoveryRow(N=N, discrete_energy=e_n, continuum_energy=e_rho,
                                 energy_gap=abs(e_n - e_rho), w1=w1, theta=rec.theta))
     return rows

@@ -18,6 +18,14 @@ def _flat(lo: float, hi: float) -> bool:
     return hi - lo <= 1e-12 * max(abs(lo), abs(hi), 1e-300)
 
 
+def _widened(lo: float, hi: float) -> tuple[float, float]:
+    """[lo, hi], widened when flat by 0.5 each way, or by 1e-12 of its size if 0.5 is lost."""
+    if not _flat(lo, hi):
+        return lo, hi
+    half = 0.5 if lo - 0.5 < hi + 0.5 else 1e-12 * max(abs(lo), abs(hi))
+    return lo - half, hi + half
+
+
 def _ticks(lo: float, hi: float, log: bool) -> list[float]:
     """Tick values of an axis spanning [lo, hi] in plot coordinates: the
     powers of ten inside it on a log axis (lo and hi are then log10 values),
@@ -58,12 +66,8 @@ def line_plot(path, xs, ys, label, *, title, xlabel, ylabel, logx=False, logy=Fa
     def ty(v):
         return math.log10(v) if logy else v
 
-    x_lo, x_hi = min(map(tx, xs_all)), max(map(tx, xs_all))
-    y_lo, y_hi = min(map(ty, ys_all)), max(map(ty, ys_all))
-    if _flat(x_lo, x_hi):
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if _flat(y_lo, y_hi):
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    x_lo, x_hi = _widened(min(map(tx, xs_all)), max(map(tx, xs_all)))
+    y_lo, y_hi = _widened(min(map(ty, ys_all)), max(map(ty, ys_all)))
     pad_y = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
 

@@ -33,8 +33,17 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
 def run(cmd, cfg_path, out_dir, *extra):
-    return cli.main([cmd, "--config", cfg_path, "--out", str(out_dir), *extra])
+    """cli.main's exit code, after every JSON artifact it wrote parses as
+    RFC 8259 JSON (no NaN or Infinity)."""
+    code = cli.main([cmd, "--config", cfg_path, "--out", str(out_dir), *extra])
+    for path in Path(out_dir).glob("*.json"):
+        json.loads(path.read_text(), parse_constant=_not_json)
+    return code
 
 
 class TestClassify:
@@ -61,6 +70,15 @@ class TestClassify:
         assert run("classify", cfg, tmp_path / "out") == 0
         payload = json.loads((tmp_path / "out" / "classify.json").read_text())
         assert payload["class"] == "unstable"
+
+    def test_infinite_threshold_is_null(self, tmp_path):
+        # W_inf = +inf for a power law, so the scan's threshold is infinite
+        cfg = write_config(tmp_path, "c.json", {"potential": PL21_JSON,
+                                                 "scan": {"resolution": 8}})
+        assert run("classify", cfg, tmp_path / "out") == 0
+        payload = json.loads((tmp_path / "out" / "classify.json").read_text())
+        assert payload["certificate"]["found"]
+        assert payload["certificate"]["threshold"] is None
 
 
 class TestMinimize:
@@ -154,7 +172,7 @@ class TestRecover:
         assert (tmp_path / "out" / "energy_gap_vs_N.svg").exists()
         assert (tmp_path / "out" / "w1_vs_N.svg").exists()
 
-    def test_unaligned_resolution_regridded_per_n(self, tmp_path):
+    def test_unaligned_resolution_taken_as_is(self, tmp_path):
         cfg = write_config(tmp_path, "r.json",
                            {"potential": {"kind": "power_law", "d": 1,
                                           "a": 2.0, "b": 1.0},
@@ -164,13 +182,22 @@ class TestRecover:
         assert run("recover", cfg, tmp_path / "out") == 0
         lines = (tmp_path / "out" / "recover.csv").read_text().strip().splitlines()
         got = [[float(v) for v in line.split(",")] for line in lines[1:]]
-        # N = 16 has n = 2 cubes per side, so 63 cells become 64; N = 81 has n = 3
+        # N = 16 has n = 2 cubes per side and N = 81 has n = 3; both rows
+        # compare with the 63 cells of the input
         rho = mea.uniform_box(1, 1.0, 63)
         spec = pot.PowerLaw(1, 2.0, 1.0)
-        want = [rec.recovery_convergence_report(spec, grid, [n])[0]
-                for n, grid in ((16, mea.regrid(rho, 2)), (81, rho))]
+        want = rec.recovery_convergence_report(spec, rho, [16, 81])
         assert got == [[r.N, r.discrete_energy, r.continuum_energy, r.energy_gap,
                         r.w1, r.theta] for r in want]
+        assert {r[2] for r in got} == {mea.continuum_energy_grid(spec, rho)}
+
+    @pytest.mark.parametrize("levels, code, err", [
+        (31, cli.EXIT_CONFIG, "config error: refine_levels must be an integer in [1, 30]\n"),
+        (30, cli.EXIT_OK, "")])
+    def test_refine_levels_at_most_30(self, tmp_path, capsys, levels, code, err):
+        cfg = write_config(tmp_path, "r.json", dict(RECOVER_1D, refine_levels=levels))
+        assert run("recover", cfg, tmp_path / "out") == code
+        assert capsys.readouterr().err == err
 
     def test_small_box_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "r.json",
@@ -184,6 +211,17 @@ class TestRecover:
 
 
 class TestAnalyze:
+    def test_coincident_points_give_a_null_seminorm(self, tmp_path):
+        # two coincident points make the Morrey seminorm infinite, which RFC
+        # 8259 JSON has no number for
+        Configuration([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]).save_json(tmp_path / "x.json")
+        cfg = write_config(tmp_path, "a.json",
+                           {"potential": PL21_JSON,
+                            "configuration_file": str(tmp_path / "x.json")})
+        assert run("analyze", cfg, tmp_path / "out") == 0
+        report = json.loads((tmp_path / "out" / "analysis.json").read_text())
+        assert report["morrey_seminorm"] is None
+
     def test_saved_two_point_optimum(self, tmp_path):
         Configuration([[0.0, 0.0], [1.0, 0.0]]).save_json(tmp_path / "x.json")
         cfg = write_config(tmp_path, "a.json",
@@ -393,12 +431,12 @@ def test_grid_file_header_error_is_one_plain_message(tmp_path, capsys, edit, mes
 
 
 @pytest.mark.parametrize("n_list, cells", [([4096], "4096 x 4096"),
-                                           ([16, 8000], "4356 x 8000")],
+                                           ([16, 8000], "4096 x 8000")],
                          ids=["N_4096", "N_16_then_8000"])
 def test_recover_above_the_cost_matrix_cap_is_config_error(tmp_path, monkeypatch, capsys,
                                                            n_list, cells):
-    # N particles against the nonempty cells of the 64 x 64 grid regridded for
-    # N (66 x 66 for N = 8000); refused before any N, N = 16 too, is built
+    # N particles against the nonempty cells of the 64 x 64 grid; refused
+    # before any N, N = 16 too, is built
     def no_build(*args, **kwargs):
         raise AssertionError("a recovery configuration was built")
     monkeypatch.setattr(rec, "build_recovery", no_build)

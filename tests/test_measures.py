@@ -207,9 +207,31 @@ class TestContinuumEnergyGrid:
         e = mea.continuum_energy_grid(SINGULAR3, rho)
         assert math.isfinite(e)
 
-    def test_too_coarse_errors(self):
-        with pytest.raises(mea.MeasureError):
-            mea.continuum_energy_grid(PL11, mea.uniform_box(1, 1.0, 2))
+    def test_refine_levels_above_30_refused(self):
+        # 30 levels run, and the energy has stopped moving long before
+        rho = mea.uniform_box(1, 1.0, 64)
+        deep = mea.continuum_energy_grid(PL11, rho, refine_levels=30)
+        assert deep == pytest.approx(mea.continuum_energy_grid(PL11, rho, refine_levels=20),
+                                     rel=1e-15)
+        for levels in (31, 63, 2000):
+            with pytest.raises(mea.MeasureError,
+                               match=r"^refine_levels must be an integer in \[1, 30\]$"):
+                mea.continuum_energy_grid(PL11, rho, refine_levels=levels)
+
+    def test_offset_table_above_the_cap_refused_before_the_fft(self, monkeypatch):
+        # 1001^2 cells are under the cap, their 2001^2 offsets are not
+        class Reached(Exception):
+            pass
+
+        def no_fft(*args, **kwargs):
+            raise Reached
+        monkeypatch.setattr(mea.np.fft, "rfftn", no_fft)
+        spec = pot.PowerLaw(2, 2.0, 1.0)
+        with pytest.raises(mea.MeasureError,
+                           match="^an offset table of 2001\\^2 cells is above the cap"):
+            mea.continuum_energy_grid(spec, mea.uniform_box(2, 1.0, 1001))
+        with pytest.raises(Reached):
+            mea.continuum_energy_grid(spec, mea.uniform_box(2, 1.0, 1000))
 
     def test_pinned_box_values(self):
         # values of the earlier pair-by-pair quadrature: with dyadic cell
@@ -251,27 +273,29 @@ class TestContinuumEnergyGrid:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_pair_loop_at_one_level(self, d):
         # reference: the midpoint rule pair by pair, with cell pairs within 2
-        # diagonals (ties included) split into all (2^d)^2 subcell pairs
+        # diagonals (ties included) split into all (2^d)^2 subcell pairs; the
+        # grids of 1 to 3 cells per side are taken as they are
         rng = np.random.default_rng(d)
-        g = 5
         spec = pot.Morse(d, 2.0, 1.0, 1.0, 0.5)
-        m = rng.random(g ** d) * (rng.random(g ** d) < 0.8)
-        m /= m.sum()
-        rho = mea.GridDensity(rng.uniform(-1.0, 0.0, d), rng.uniform(1.0, 2.0, d), g, m)
-        w = rho.cell_width
-        cells = np.array(list(itertools.product(range(g), repeat=d)))
-        sub = np.array(list(itertools.product([-0.25, 0.25], repeat=d))) * w
-        total = 0.0
-        for i, j in itertools.product(range(g ** d), repeat=2):
-            k = cells[i] - cells[j]
-            if np.sum((k * w) ** 2) <= 4.0 * np.sum(w ** 2) * (1.0 + 1e-12):
-                r = np.linalg.norm(k * w + sub[:, None, :] - sub[None, :, :], axis=-1)
-                val = float(np.mean(spec.radial(r)))
-            else:
-                val = float(spec.radial(np.linalg.norm(k * w)))
-            total += m[i] * m[j] * val
-        e = mea.continuum_energy_grid(spec, rho, refine_levels=1)
-        assert e == pytest.approx(0.5 * total, rel=1e-12)
+        for g in (1, 2, 3, 5):
+            m = rng.random(g ** d) * (rng.random(g ** d) < 0.8)
+            m[0] += 0.1
+            m /= m.sum()
+            rho = mea.GridDensity(rng.uniform(-1.0, 0.0, d), rng.uniform(1.0, 2.0, d), g, m)
+            w = rho.cell_width
+            cells = np.array(list(itertools.product(range(g), repeat=d)))
+            sub = np.array(list(itertools.product([-0.25, 0.25], repeat=d))) * w
+            total = 0.0
+            for i, j in itertools.product(range(g ** d), repeat=2):
+                k = cells[i] - cells[j]
+                if np.sum((k * w) ** 2) <= 4.0 * np.sum(w ** 2) * (1.0 + 1e-12):
+                    r = np.linalg.norm(k * w + sub[:, None, :] - sub[None, :, :], axis=-1)
+                    val = float(np.mean(spec.radial(r)))
+                else:
+                    val = float(spec.radial(np.linalg.norm(k * w)))
+                total += m[i] * m[j] * val
+            e = mea.continuum_energy_grid(spec, rho, refine_levels=1)
+            assert e == pytest.approx(0.5 * total, rel=1e-12), g
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

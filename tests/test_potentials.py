@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pairenergy import configuration as cfg
 from pairenergy import diagnostics as diag
+from pairenergy import measures as mea
 from pairenergy import potentials as pot
 
 PL21 = pot.PowerLaw(2, 2.0, 1.0)
@@ -452,6 +453,19 @@ class TestInstabilityScan:
         scales = np.geomspace(0.1, 20.0, 12)
         cert = pot.numeric_instability_scan(MORSE_U, scales, resolution=32)
         assert cert.found and cert.best_energy < 0.0
+
+    def test_margin_compares_with_half_the_resolution(self):
+        # at resolution 4 the halved grid has 2 cells per side, so the margin
+        # is more than the tolerance; resolution 2 halves to one cell
+        scales = np.geomspace(0.1, 20.0, 16)
+        for resolution in (4, 3, 2):
+            cert = pot.numeric_instability_scan(MORSE_U, scales, resolution=resolution)
+            coarse = mea.continuum_energy_grid(
+                MORSE_U, mea.uniform_ball(2, cert.best_scale, resolution // 2))
+            assert cert.margin == 1e-6 + abs(cert.best_energy - coarse)
+        assert pot.numeric_instability_scan(MORSE_U, scales, resolution=4).margin > 1e-3
+        with pytest.raises(pot.PotentialError, match="resolution must be an integer >= 2"):
+            pot.numeric_instability_scan(MORSE_U, scales, resolution=1)
 
     def test_morse_stable_non_certificate(self):
         scales = np.geomspace(0.1, 20.0, 12)

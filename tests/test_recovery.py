@@ -53,11 +53,19 @@ class TestBuildRecovery:
         with pytest.raises(rec.RecoveryError):
             rec.build_recovery(rho, 16)
 
-    def test_requires_aligned_resolution(self):
-        rho = mea.uniform_box(1, 1.0, 63)   # 63 not a multiple of n = 2
-        with pytest.raises(rec.RecoveryError):
-            rec.build_recovery(rho, 16)
-        rec.build_recovery(mea.regrid(rho, 2), 16)
+    def test_unaligned_resolution_same_as_regridded(self):
+        # a resolution that n does not divide gives the cubes the masses of
+        # rho regridded to a multiple of n, so the same configuration
+        rng = np.random.default_rng(44)
+        for rho, ns in ((mea.uniform_box(1, 1.0, 63), (16, 81, 256)),
+                        (random_density(rng, 1, 1.5, 63), (16, 81, 256, 4096)),
+                        (random_density(rng, 2, 1.0, 7), (300, 6561))):
+            for n_particles in ns:
+                want = rec.build_recovery(
+                    mea.regrid(rho, rec._cube_count(n_particles, rho.dim)), n_particles)
+                got = rec.build_recovery(rho, n_particles)
+                assert got.counts == want.counts and got.N_e == want.N_e
+                assert got.config.points.tobytes() == want.config.points.tobytes()
 
     def test_count_identities_random_fixtures(self):
         rng = np.random.default_rng(40)
@@ -160,17 +168,20 @@ class TestConvergenceReport:
                                      mea.AtomicMeasure(atoms.points @ e, atoms.weights))
             assert row.w1 >= lower - 1e-12
 
-    def test_regrids_per_n(self):
-        # 63 cells: regridded to 64 for n = 2 (N = 16) and n = 4 (N = 256),
-        # kept for n = 3 (N = 81)
+    def test_every_row_compares_with_rho_itself(self):
+        # 63 cells, a multiple of n = 3 (N = 81) only: every row has E(rho)
+        # and the atoms of rho at its own resolution
         rho = mea.uniform_box(1, 1.0, 63)
         rows = rec.recovery_convergence_report(PL11, rho, [256, 16, 81])
-        per_n = [rec.recovery_convergence_report(
-                     PL11, mea.regrid(rho, rec._cube_count(n, 1)), [n])[0]
-                 for n in (16, 81, 256)]
-        assert rows == per_n
-        assert rows[0].continuum_energy == rows[2].continuum_energy \
-            != rows[1].continuum_energy
+        assert [r.N for r in rows] == [16, 81, 256]
+        e_rho = mea.continuum_energy_grid(PL11, rho)
+        for r in rows:
+            built = rec.build_recovery(rho, r.N)
+            assert r.continuum_energy == e_rho
+            assert r.discrete_energy == cfg.discrete_energy(PL11, built.config)
+            assert r.w1 == mea.wasserstein1(mea.AtomicMeasure.empirical(built.config),
+                                            mea.density_to_atoms(rho))
+            assert r.theta == built.theta
 
     def test_rejects_small_n(self):
         with pytest.raises(rec.RecoveryError):

@@ -28,3 +28,13 @@ def test_line_plot_of_values_one_ulp_apart(tmp_path):
     for tick in ("0.6", "1", "1.4"):
         assert f'font-family="sans-serif">{tick}</text>' in text
     assert text.count("<circle") == 2
+
+
+@pytest.mark.parametrize("y", [1e16, 1e199, -1e199])
+def test_line_plot_of_one_value_beyond_the_reach_of_half(tmp_path, y):
+    # y +- 0.5 rounds back to y, so the flat span is widened by 1e-12 of y
+    # instead, and the point sits mid-frame
+    path = tmp_path / "flat.svg"
+    svgplot.line_plot(path, [64], [y], "E_N", title="t", xlabel="N", ylabel="E_N")
+    text = path.read_text()
+    assert '<circle cx="345.00" cy="232.50" r="3"' in text
